@@ -145,8 +145,8 @@ func LatUs(s *metrics.Snapshot) (p50, p99, p999 float64) {
 // issues the inserts as InsertBatch batches (native descent sharing
 // where available, and — crucially for remote dictionaries — one wire
 // round trip per batch instead of per key); the tail falls back to
-// per-key inserts so the overshoot stays bounded by the worker count,
-// exactly as before.
+// per-key inserts. Each insert reserves its slot against the target
+// before it runs, so the structure ends at exactly KeyRange/2 keys.
 //
 // Prefill counts successful inserts, so it assumes a structure that
 // starts (near-)empty; on one that is already near keyRange keys, new
@@ -186,7 +186,13 @@ func Prefill(d dict.Dict, cfg Config) {
 				if done >= target || attempts.Load() >= maxAttempts {
 					return
 				}
+				// Every insert first reserves its share of the target with
+				// a CAS on inserted and hands back what did not land, so
+				// concurrent workers can never together pass the target.
 				if target-done > uint64(workers)*prefillBatch {
+					if !inserted.CompareAndSwap(done, done+prefillBatch) {
+						continue
+					}
 					for i := range keys {
 						keys[i] = 1 + rng.Uint64n(cfg.KeyRange)
 					}
@@ -197,13 +203,16 @@ func Prefill(d dict.Dict, cfg Config) {
 							landed++
 						}
 					}
-					inserted.Add(landed)
+					inserted.Add(landed - prefillBatch)
 					attempts.Add(prefillBatch)
 					continue
 				}
+				if !inserted.CompareAndSwap(done, done+1) {
+					continue
+				}
 				k := 1 + rng.Uint64n(cfg.KeyRange)
-				if _, hit := h.Insert(k, k); hit {
-					inserted.Add(1)
+				if _, hit := h.Insert(k, k); !hit {
+					inserted.Add(^uint64(0))
 				}
 				attempts.Add(1)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -52,6 +53,23 @@ func TestPrefillReachesTarget(t *testing.T) {
 	d.(coreDict).T.Scan(func(_, _ uint64) { n++ })
 	if n != 5000 {
 		t.Fatalf("prefill size = %d, want 5000", n)
+	}
+}
+
+// TestPrefillExactUnderContention repeats Prefill with four workers
+// racing through the per-key tail: each must land exactly on the
+// target. Before inserts reserved their slot, workers that all saw
+// target-1 inserted together and overshot.
+func TestPrefillExactUnderContention(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for run := 0; run < 50; run++ {
+		d := NewDict("OCC-ABtree", 2000)
+		Prefill(d, Config{KeyRange: 2000, Seed: uint64(run) + 1})
+		n := 0
+		d.(coreDict).T.Scan(func(_, _ uint64) { n++ })
+		if n != 1000 {
+			t.Fatalf("run %d: prefill size = %d, want 1000", run, n)
+		}
 	}
 }
 

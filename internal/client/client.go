@@ -1,44 +1,41 @@
-// Package client is the Go client for internal/server: a connection-
-// pooled, pipelined implementation of dict.Dict + dict.Batcher over the
-// internal/wire protocol, so the entire in-process workload harness
-// (bench, ycsb, the linearizability recorder) runs unmodified against a
-// remote server.
+// Package client is the Go client for internal/server: an
+// implementation of dict.Dict + dict.Batcher over the internal/wire
+// protocol, so the entire in-process workload harness (bench, ycsb, the
+// linearizability recorder) runs unmodified against a remote server.
 //
-// Shape: a Client owns the pool of TCP connections to one server.
-// NewHandle dials a dedicated connection per handle — handles are
-// thread-bound by the dict contract, so per-handle connections give
-// each worker goroutine a private, lock-free wire path (the server
-// multiplexes all of them onto its fixed worker pool). Batched
-// operations larger than wire.MaxBatch are pipelined: every chunk frame
-// is written back-to-back before the first response is read, and the
-// echoed request ids reassemble the results in input order.
+// Shape: every handle runs on a conn, the one connection engine in
+// conn.go. A Client handle gets a private conn dialed by NewHandle —
+// handles are thread-bound by the dict contract, so the caller writes
+// and reads its own connection with no goroutine hand-off. A Mux shares
+// a few conns among any number of handles and combines their concurrent
+// point ops into batch frames (mux.go). Either way, batched operations
+// larger than wire.MaxBatch are split into chunk frames pipelined
+// through the conn's in-flight window, and echoed request ids land each
+// response at its input offset.
 //
 // Scan responses are buffered per handle before the callback runs (the
 // stream is fully drained first), so dict.Ranger's "fn may run point
 // operations on the same handle" contract holds over the wire too.
 //
 // Allocation discipline: request frames, response payloads and scan
-// pair buffers are per-handle scratch, reused across calls — a warmed-up
-// remote point operation allocates nothing on either endpoint (see
-// internal/server's TestAllocsRemotePointOps).
+// pair buffers are per-conn or per-handle scratch, reused across calls
+// — a warmed-up remote point operation allocates nothing on either
+// endpoint (see internal/server's TestAllocsRemotePointOps and
+// TestAllocsMux).
 //
 // Error model: Dial, Open, Stats and Close return errors; the
 // dict.Dict/Handle methods cannot (the interfaces have no error
 // results). A transport failure first goes through the retry policy in
-// retry.go — handles redial with capped exponential backoff and replay
-// idempotent operations transparently; mutations that may have reached
-// the server fail with ErrAmbiguous instead of replaying. Only when
-// retries are exhausted (or a mutation turns ambiguous) does a
-// dict.Handle method panic with a descriptive message; the Try* methods
-// (TryHandle) surface the same errors for chaos drills.
+// retry.go — the conn redials, idempotent operations replay
+// transparently, and mutations that may have reached the server fail
+// with ErrAmbiguous instead of replaying. Only when retries are
+// exhausted (or a mutation turns ambiguous) does a dict.Handle method
+// panic with a descriptive message; the Try* methods (TryHandle)
+// surface the same errors for chaos drills.
 package client
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -46,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/dict"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/xrand"
@@ -59,23 +57,23 @@ type Client struct {
 	addr string
 	cfg  Config // dial/retry policy (see retry.go), defaults applied
 
-	// ctrlMu serializes control RPCs (STATS/OPEN/PROMOTE) on the shared
-	// ctrl handle. It is a separate lock from mu and is never held while
-	// taking it in the other order: the retry machinery under a control
-	// RPC re-enters mu (redial registers/unregisters connections), so
-	// holding mu across the RPC would self-deadlock the moment a ctrl
-	// connection broke mid-call.
+	// ctrlMu serializes control RPCs (STATS/OPEN/PROMOTE/METRICS/trace
+	// dumps) on the shared ctrl handle. It is never held while taking
+	// mu in the other order: a redial under a control RPC registers its
+	// connection under mu.
 	ctrlMu sync.Mutex
+	ctrl   *handle // lazily dialed control handle
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} // live dialed connections, for Close
-	ctrl   *handle               // lazily dialed control handle (STATS/OPEN/KeySum)
 	caps   wire.Stats            // hosted structure info from the last STATS/OPEN
 	open   bool
-	nhands int // handles dialed, for RTT shard hints
+	nhands int // handles created, for metrics stripes and jitter seeds
 
-	rtt    rttHists      // client-side per-op round-trip histograms
-	faults faultCounters // redials/retries/ambiguous/busy (see retry.go)
+	rtt      rttHists          // client-side per-op round-trip histograms
+	faults   faultCounters     // redials/retries/ambiguous/busy (see retry.go)
+	inflight metrics.Gauge     // Mux ops submitted, not yet completed
+	coalesce metrics.Histogram // waiters per point frame on Mux conns
 
 	// Tracing (Config.TraceEvery > 0): the local span collector, the
 	// trace-id mint, and whether the server advertised CapTrace (refreshed
@@ -121,17 +119,31 @@ func (c *Client) Name() string {
 	return c.caps.Name
 }
 
+// control runs one control request on the shared ctrl handle, dialing
+// it on first use.
+func (c *Client) control(o *op) error {
+	c.ctrlMu.Lock()
+	defer c.ctrlMu.Unlock()
+	if c.ctrl == nil {
+		e, err := c.newConn(1, false, 0)
+		if err != nil {
+			return err
+		}
+		c.ctrl = c.newHandle(e)
+	}
+	return c.ctrl.do([]*op{o})
+}
+
 // Stats fetches the server's STATS snapshot (key sum, rq/elimination
 // counters, hosted name/keyRange/generation, scan capabilities) and
 // refreshes the cached capabilities.
 func (c *Client) Stats() (wire.Stats, error) {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	st, err := h.rpcStats()
+	var st wire.Stats
+	err := c.control(&op{req: wire.OpStats, encode: wire.AppendStats,
+		decode: func(p []byte) (last bool, err error) {
+			st, err = wire.DecodeStats(p)
+			return true, err
+		}})
 	if err != nil {
 		return wire.Stats{}, err
 	}
@@ -148,24 +160,14 @@ func (c *Client) Stats() (wire.Stats, error) {
 // keep operating on the old generation's semantics until their next
 // operation, which lands on the new structure.
 func (c *Client) Open(name string, keyRange uint64) error {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
+	err := c.control(&op{req: wire.OpOpen, encode: func(b []byte, id uint64) []byte {
+		return wire.AppendOpen(b, id, keyRange, name)
+	}})
 	if err != nil {
 		return err
 	}
-	if err := h.rpcOpen(name, keyRange); err != nil {
-		return err
-	}
-	st, err := h.rpcStats()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.caps = st
-	c.mu.Unlock()
-	c.canTrace.Store(st.CanTrace)
-	return nil
+	_, err = c.Stats()
+	return err
 }
 
 // Promote asks the server to become (or confirm itself as) the primary
@@ -174,13 +176,10 @@ func (c *Client) Open(name string, keyRange uint64) error {
 // primary is a no-op), so it retries like an idempotent op. The cluster
 // router calls this during failover.
 func (c *Client) Promote(ack int, addrs []string) error {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return err
-	}
-	return h.rpcPromote(ack, addrs)
+	joined := strings.Join(addrs, ",")
+	return c.control(&op{req: wire.OpPromote, encode: func(b []byte, id uint64) []byte {
+		return wire.AppendPromote(b, id, ack, joined)
+	}})
 }
 
 // Close closes every connection the client dialed.
@@ -195,7 +194,6 @@ func (c *Client) Close() error {
 		}
 	}
 	c.conns = nil
-	c.ctrl = nil
 	return first
 }
 
@@ -216,21 +214,44 @@ func (c *Client) NewHandle() dict.Handle {
 // for callers (the cluster router) that must tolerate dialing a dead
 // replica and fail over instead of crashing.
 func (c *Client) NewTryHandle() (dict.Handle, error) {
-	h, err := c.newHandle()
+	e, err := c.newConn(maxOutstanding, false, 0)
 	if err != nil {
 		return nil, err
 	}
+	return c.wrap(c.newHandle(e)), nil
+}
+
+// maxOutstanding is a private conn's in-flight window: how many chunk
+// frames of one batched operation are pipelined. It must stay under the
+// server's per-connection request-slot bound, so the server can always
+// land every outstanding response.
+const maxOutstanding = 8
+
+// newHandle returns a handle on conn e.
+func (c *Client) newHandle(e *conn) *handle {
+	c.mu.Lock()
+	c.nhands++
+	hint := c.nhands
+	c.mu.Unlock()
+	h := &handle{c: c, e: e, hint: hint, rng: newRetryRNG(hint)}
+	h.w.wake = make(chan struct{}, 1)
+	h.one[0] = &h.pt
+	return h
+}
+
+// wrap gives h the dynamic type that exposes the hosted structure's
+// scan capabilities.
+func (c *Client) wrap(h *handle) dict.Handle {
 	c.mu.Lock()
 	caps := c.caps
 	c.mu.Unlock()
 	if !caps.CanRange {
-		return h, nil
+		return h
 	}
-	rh := &rangeHandle{h}
 	if !caps.CanSnap {
-		return rh, nil
+		return &rangeHandle{h}
 	}
-	return &snapHandle{rangeHandle{h}}, nil
+	return &snapHandle{rangeHandle{h}}
 }
 
 // KeySum returns the hosted structure's wrapping key sum via STATS
@@ -264,68 +285,19 @@ func (c *Client) ElimStats() (inserts, deletes, upserts uint64) {
 	return st.ElimInserts, st.ElimDeletes, st.ElimUpserts
 }
 
-// ctrlHandle returns the shared control handle, dialing it on first
-// use. Callers hold ctrlMu (the RPC serialization), NOT mu.
-func (c *Client) ctrlHandle() (*handle, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ctrl == nil {
-		h, err := c.newHandleLocked()
-		if err != nil {
-			return nil, err
-		}
-		c.ctrl = h
-	}
-	return c.ctrl, nil
-}
-
-func (c *Client) newHandle() (*handle, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.newHandleLocked()
-}
-
-func (c *Client) newHandleLocked() (*handle, error) {
-	if !c.open {
-		return nil, errClientClosed
-	}
-	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c.conns[nc] = struct{}{}
-	c.nhands++
-	return &handle{
-		c:    c,
-		nc:   nc,
-		br:   bufio.NewReaderSize(nc, 64<<10),
-		bw:   bufio.NewWriterSize(nc, 64<<10),
-		rtt:  &c.rtt,
-		hint: c.nhands,
-		rng:  newRetryRNG(c.nhands),
-	}, nil
-}
-
-// handle is a per-goroutine wire accessor over its own connection. Not
+// handle is a per-goroutine accessor on a conn (private or shared). Not
 // safe for concurrent use, like every dict.Handle.
 type handle struct {
-	c      *Client // owning pool (redial policy + fault counters)
-	nc     net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	id     uint64
-	broken bool        // connection known dead; next attempt redials
-	rng    *xrand.Rand // backoff jitter stream
-	rtt    *rttHists   // shared per-op RTT histograms (see metrics.go)
-	hint   int         // this handle's histogram stripe
+	c    *Client
+	e    *conn
+	hint int         // metrics stripe
+	w    waiter      // where this handle parks on its conn
+	rng  *xrand.Rand // backoff jitter stream
 
-	hdr   [wire.HeaderLen]byte
-	out   []byte // request frame scratch
-	in    []byte // response payload scratch
-	pairs []byte // scan pair buffer (packed 16-byte pairs)
-
+	pt     op     // reused point/scan op
+	one    [1]*op // {&pt}
+	bops   []*op  // reused batch chunk ops
 	traceN int    // ops since this handle's last head sample
-	trace  uint64 // trace id of the in-flight sampled batch/scan (0: none)
 
 	// lastSeq is the highest replication sequence number any response on
 	// this handle has carried (0 against standalone servers). The cluster
@@ -353,45 +325,16 @@ func (h *handle) noteSeq(seq uint64) {
 	}
 }
 
-func (h *handle) nextID() uint64 {
-	h.id++
-	return h.id
-}
-
-// writeFrames flushes h.out (one or more frames) to the server. On
-// failure, wrote reports whether any frame byte may have left the
-// client: the buffer is empty at frame start (every rpc flushes), so
-// bufio's unflushed count tells exactly how much reached the kernel.
-func (h *handle) writeFrames() (wrote bool, err error) {
-	if _, err = h.bw.Write(h.out); err != nil {
-		return h.bw.Buffered() < len(h.out), err
+// run executes ops (n keys' worth) under the retry policy, keeping the
+// Mux's inflight gauge.
+func (h *handle) run(ops []*op, n int) error {
+	if !h.e.shared {
+		return h.do(ops)
 	}
-	if err = h.bw.Flush(); err != nil {
-		return h.bw.Buffered() < len(h.out), err
-	}
-	return true, nil
-}
-
-// readFrame reads one response frame, leaving the payload in h.in.
-func (h *handle) readFrame() (id uint64, op byte, payload []byte, err error) {
-	if _, err = io.ReadFull(h.br, h.hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	length := binary.LittleEndian.Uint32(h.hdr[:4])
-	if length < wire.HeaderLen-4 || length > wire.MaxFrame {
-		return 0, 0, nil, fmt.Errorf("bad response frame length %d", length)
-	}
-	id = binary.LittleEndian.Uint64(h.hdr[4:12])
-	op = h.hdr[12]
-	n := int(length) - (wire.HeaderLen - 4)
-	if cap(h.in) < n {
-		h.in = make([]byte, n)
-	}
-	h.in = h.in[:n]
-	if _, err = io.ReadFull(h.br, h.in); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, op, h.in, nil
+	h.c.inflight.Add(h.hint, int64(n))
+	err := h.do(ops)
+	h.c.inflight.Add(h.hint, -int64(n))
+	return err
 }
 
 // respError is an application-level failure reported by the server over
@@ -408,264 +351,92 @@ func (e respError) Is(target error) bool {
 	return target == ErrReadOnly && strings.HasPrefix(string(e), "follower:")
 }
 
-// expect validates a response's id and opcode, surfacing RespError
-// payloads as errors.
-func expect(gotID, wantID uint64, gotOp, wantOp byte, payload []byte) error {
-	if gotOp == wire.RespError {
-		return respError(payload)
-	}
-	if gotID != wantID || gotOp != wantOp {
-		return fmt.Errorf("response mismatch: got id=%d op=%#x, want id=%d op=%#x", gotID, gotOp, wantID, wantOp)
-	}
-	return nil
-}
-
-// rpcPoint drives one point op with the retry.go policy: transparent
-// replay across reconnects while it is safe (GET always; PUT/DELETE only
-// while no frame byte left the client, or after a BUSY rejection), typed
-// ErrAmbiguous once a mutation's frame may have reached the server.
-// tid != 0 announces the trace id with an OpTraceCtx frame ahead of the
-// request (the id survives retries, so a replayed attempt lands its
-// server spans on the same trace).
-func (h *handle) rpcPoint(op byte, key, val uint64, tid uint64) (uint64, bool, error) {
-	mutation := op != wire.OpGet
-	for attempt := 0; ; attempt++ {
-		if err := h.prepare(); err != nil {
-			if errors.Is(err, errClientClosed) || attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
-		}
-		id := h.nextID()
-		h.out = h.out[:0]
-		if tid != 0 {
-			h.out = wire.AppendTraceCtx(h.out, id, tid)
-		}
-		h.out = wire.AppendPoint(h.out, id, op, key, val)
-		if wrote, err := h.writeFrames(); err != nil {
-			h.broken = true
-			if mutation && wrote {
-				return 0, false, h.failAmbiguous(op, err)
-			}
-			if attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
-		}
-		rid, rop, payload, err := h.readFrame()
-		if err == nil && rop == wire.RespBusy {
-			if h.c != nil {
-				h.c.faults.busy.Add(1)
-			}
-			if rid == id {
-				// Rate-limit rejection: the server read this very request,
-				// executed nothing, and keeps the connection alive — back
-				// off and resend on the same connection (safe even for
-				// mutations: BUSY means nothing was executed).
-				if attempt >= h.retryBudget() {
-					return 0, false, errBusy
-				}
-				h.backoff(attempt)
-				continue
-			}
-			// Admission rejection: the server answered at accept time and
-			// read nothing, so even a mutation is safe to replay.
-			err = errBusy
-		}
-		if err != nil {
-			h.broken = true
-			if mutation && !errors.Is(err, errBusy) {
-				return 0, false, h.failAmbiguous(op, err)
-			}
-			if attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
-		}
-		if rop == wire.RespError {
-			// Application-level failure: the connection is healthy and
-			// the op was executed (and rejected) exactly once.
-			return 0, false, respError(payload)
-		}
-		if err := expect(rid, id, rop, wire.RespPoint, payload); err != nil {
-			// Protocol confusion: the stream can't be trusted anymore.
-			h.broken = true
-			if mutation {
-				return 0, false, h.failAmbiguous(op, err)
-			}
-			if attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
-		}
-		v, ok, seq, derr := wire.DecodePoint(payload)
-		if derr != nil {
-			return 0, false, derr
-		}
-		h.noteSeq(seq)
-		return v, ok, nil
-	}
-}
-
-func (h *handle) point(op byte, key, val uint64) (uint64, bool) {
+// point runs one point op. tid != 0 announces the trace id with an
+// OpTraceCtx frame ahead of the request (the id survives retries, so a
+// replayed attempt lands its server spans on the same trace).
+func (h *handle) point(req byte, key, val uint64) (uint64, bool, error) {
 	t0 := time.Now()
 	tid := h.maybeTrace()
-	v, ok, err := h.rpcPoint(op, key, val, tid)
-	if err != nil {
-		panic(fmt.Sprintf("client: point op %#x: %v", op, err))
+	o := &h.pt
+	o.req, o.key, o.val = req, key, val
+	o.trace, o.submitT = tid, t0.UnixNano()
+	if err := h.run(h.one[:], 1); err != nil {
+		return 0, false, err
 	}
-	h.observe(copFor(op), t0)
-	h.traceSpan(tid, op, t0)
+	h.noteSeq(o.seq)
+	h.observe(copFor(req), t0)
+	h.traceSpan(tid, req, t0)
+	return o.resVal, o.resOk, nil
+}
+
+func (h *handle) mustPoint(req byte, key, val uint64) (uint64, bool) {
+	v, ok, err := h.point(req, key, val)
+	if err != nil {
+		panic(fmt.Sprintf("client: point op %#x: %v", req, err))
+	}
 	return v, ok
 }
 
 // Find looks up key on the remote structure.
-func (h *handle) Find(key uint64) (uint64, bool) { return h.point(wire.OpGet, key, 0) }
+func (h *handle) Find(key uint64) (uint64, bool) { return h.mustPoint(wire.OpGet, key, 0) }
 
 // Insert inserts <key, val> if absent (dict.Handle.Insert semantics).
-func (h *handle) Insert(key, val uint64) (uint64, bool) { return h.point(wire.OpPut, key, val) }
+func (h *handle) Insert(key, val uint64) (uint64, bool) { return h.mustPoint(wire.OpPut, key, val) }
 
 // Delete removes key if present.
-func (h *handle) Delete(key uint64) (uint64, bool) { return h.point(wire.OpDelete, key, 0) }
+func (h *handle) Delete(key uint64) (uint64, bool) { return h.mustPoint(wire.OpDelete, key, 0) }
 
-// maxOutstanding caps a batched operation's pipelined frames in
-// flight. It must stay comfortably under the server's per-connection
-// request-slot bound: with the window full the client is always in a
-// read, so the server can land every outstanding response and the
-// write-all/read-all deadlock (client's send buffer full while the
-// server's response queue is full) cannot form.
-const maxOutstanding = 8
-
-// batch drives one batched operation, splitting into wire.MaxBatch
-// chunk frames. Frames are pipelined through a bounded window (written
-// back-to-back, responses consumed as the window fills; echoed ids land
-// each response chunk at its input offset regardless of the completion
-// order the server's workers produced). Mutating batches whose equal
-// keys straddle a frame boundary degrade to one-frame-at-a-time round
-// trips: the server serves concurrent frames on different workers, so
-// only full serialization preserves dict.Batcher's equal-keys-apply-in-
-// input-order contract across frames (within one frame the trees'
-// native batch path preserves it).
-// batch runs one attempt of a batched operation. On failure, wrote
-// reports whether any frame byte may have left the client (it tracks
-// bufio's unflushed count against the bytes handed over since the last
-// successful flush) — the input to the mutation-ambiguity decision in
-// batchRetry.
-func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) (wrote bool, err error) {
+// batch drives one batched operation as wire.MaxBatch chunk frames,
+// pipelined through the conn's window; each chunk decodes straight into
+// its slice of the result arrays, whatever order the server's workers
+// answer in. Mutating batches whose equal keys straddle a chunk
+// boundary run one chunk at a time: the server serves concurrent frames
+// on different workers, so only full serialization preserves
+// dict.Batcher's equal-keys-apply-in-input-order contract across frames
+// (within one frame the trees' native batch path preserves it).
+func (h *handle) batch(req byte, keys, ivals []uint64, ovals []uint64, oks []bool) {
+	if len(ovals) != len(keys) || len(oks) != len(keys) || (req == wire.OpMPut && len(ivals) != len(keys)) {
+		panic("client: batch result slices must match len(keys)")
+	}
 	if len(keys) == 0 {
-		return false, nil
+		return
 	}
-	window := maxOutstanding
-	if op != wire.OpMGet && len(keys) > wire.MaxBatch && crossFrameDup(keys) {
-		window = 1
+	t0 := time.Now()
+	tid := h.maybeTrace()
+	n := (len(keys) + wire.MaxBatch - 1) / wire.MaxBatch
+	for len(h.bops) < n {
+		h.bops = append(h.bops, new(op))
 	}
-	base := h.id + 1
-	written, read := 0, 0
-	handed := 0 // bytes handed to bw since the last successful flush
-	readOne := func() error {
-		rid, rop, payload, err := h.readFrame()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		if rop == wire.RespError {
-			return respError(payload)
-		}
-		idx := rid - base
-		if rop != wire.RespBatch || idx >= uint64(written) {
-			return fmt.Errorf("batch response mismatch: id=%d op=%#x (want ids %d..%d)", rid, rop, base, base+uint64(written)-1)
-		}
-		off := int(idx) * wire.MaxBatch
+	ops := h.bops[:n]
+	for i, o := range ops {
+		off := i * wire.MaxBatch
 		end := min(off+wire.MaxBatch, len(keys))
-		seq, err := wire.DecodeBatch(payload, ovals[off:end], oks[off:end])
-		if err != nil {
-			return err
+		o.req, o.keys, o.vals = req, keys[off:end], nil
+		if req == wire.OpMPut {
+			o.vals = ivals[off:end]
 		}
-		h.noteSeq(seq)
-		read++
-		return nil
+		o.resVals, o.resOks = ovals[off:end], oks[off:end]
+		o.trace, o.submitT = 0, t0.UnixNano()
 	}
-	for off := 0; off < len(keys); off += wire.MaxBatch {
-		end := min(off+wire.MaxBatch, len(keys))
-		var vs []uint64
-		if op == wire.OpMPut {
-			vs = ivals[off:end]
+	// The trace rides the first chunk; its server spans represent the
+	// batch (per-chunk spans would multiply one logical op).
+	ops[0].trace = tid
+	var err error
+	if isMutation(req) && n > 1 && crossFrameDup(keys) {
+		for i := 0; i < n && err == nil; i++ {
+			err = h.run(ops[i:i+1], len(ops[i].keys))
 		}
-		id := h.nextID()
-		h.out = h.out[:0]
-		if h.trace != 0 && off == 0 {
-			// The trace rides the first chunk; its server spans represent
-			// the batch (per-chunk spans would multiply one logical op).
-			h.out = wire.AppendTraceCtx(h.out, id, h.trace)
-		}
-		h.out = wire.AppendBatch(h.out, id, op, keys[off:end], vs)
-		n, werr := h.bw.Write(h.out)
-		handed += n
-		if werr != nil {
-			return wrote || h.bw.Buffered() < handed, werr
-		}
-		written++
-		for written-read >= window {
-			if ferr := h.bw.Flush(); ferr != nil {
-				return wrote || h.bw.Buffered() < handed, ferr
-			}
-			wrote, handed = true, 0
-			if rerr := readOne(); rerr != nil {
-				return true, rerr
-			}
-		}
+	} else {
+		err = h.run(ops, len(keys))
 	}
-	if ferr := h.bw.Flush(); ferr != nil {
-		return wrote || h.bw.Buffered() < handed, ferr
+	if err != nil {
+		panic(fmt.Sprintf("client: batch op %#x: %v", req, err))
 	}
-	wrote = true
-	for read < written {
-		if rerr := readOne(); rerr != nil {
-			return true, rerr
-		}
+	for _, o := range ops {
+		h.noteSeq(o.seq)
 	}
-	return true, nil
-}
-
-// batchRetry applies the retry.go policy around batch attempts: MGET
-// replays transparently; mutating batches replay only while no frame
-// byte left the client or after a BUSY rejection, and fail with
-// ErrAmbiguous otherwise. Each attempt rebuilds every frame and
-// re-decodes every response chunk, so a partial earlier attempt leaves
-// no residue in ovals/oks.
-func (h *handle) batchRetry(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) error {
-	mutation := op != wire.OpMGet
-	for attempt := 0; ; attempt++ {
-		err := h.prepare()
-		if err == nil {
-			var wrote bool
-			wrote, err = h.batch(op, keys, ivals, ovals, oks)
-			if err == nil {
-				return nil
-			}
-			if _, isApp := err.(respError); isApp {
-				return err // healthy connection, executed exactly once
-			}
-			h.broken = true
-			busy := errors.Is(err, errBusy)
-			if busy && h.c != nil {
-				h.c.faults.busy.Add(1)
-			}
-			if mutation && wrote && !busy {
-				return h.failAmbiguous(op, err)
-			}
-		}
-		if errors.Is(err, errClientClosed) || attempt >= h.retryBudget() {
-			return err
-		}
-		h.backoff(attempt)
-	}
+	h.observe(copFor(req), t0) // whole-call RTT, all pipelined frames
+	h.traceSpan(tid, req, t0)
 }
 
 // crossFrameDup reports whether any key occurs in two different
@@ -686,173 +457,53 @@ func crossFrameDup(keys []uint64) bool {
 	return false
 }
 
-func (h *handle) runBatch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) {
-	if len(ovals) != len(keys) || len(oks) != len(keys) || (op == wire.OpMPut && len(ivals) != len(keys)) {
-		panic("client: batch result slices must match len(keys)")
-	}
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	h.trace = tid
-	err := h.batchRetry(op, keys, ivals, ovals, oks)
-	h.trace = 0
-	if err != nil {
-		panic(fmt.Sprintf("client: batch op %#x: %v", op, err))
-	}
-	h.observe(copFor(op), t0) // whole-call RTT, all pipelined frames
-	h.traceSpan(tid, op, t0)
-}
-
 // FindBatch looks up keys[i] for every i (dict.Batcher, remoted as one
 // or more pipelined MGET frames).
 func (h *handle) FindBatch(keys, vals []uint64, found []bool) {
-	h.runBatch(wire.OpMGet, keys, nil, vals, found)
+	h.batch(wire.OpMGet, keys, nil, vals, found)
 }
 
 // InsertBatch inserts <keys[i], vals[i]> where absent (dict.Batcher,
 // remoted as pipelined MPUT frames).
 func (h *handle) InsertBatch(keys, vals []uint64, prev []uint64, inserted []bool) {
-	h.runBatch(wire.OpMPut, keys, vals, prev, inserted)
+	h.batch(wire.OpMPut, keys, vals, prev, inserted)
 }
 
 // DeleteBatch removes keys[i] where present (dict.Batcher, remoted as
 // pipelined MDELETE frames).
 func (h *handle) DeleteBatch(keys []uint64, prev []uint64, deleted []bool) {
-	h.runBatch(wire.OpMDelete, keys, nil, prev, deleted)
+	h.batch(wire.OpMDelete, keys, nil, prev, deleted)
 }
 
 // scan drives one remote scan: request, drain every chunk into the
-// handle's pair buffer, then replay the pairs through fn. Draining
-// before the callback keeps the connection free of in-flight state
-// while fn runs, so fn may issue point operations on this same handle
-// (the dict.Ranger contract).
+// op's pair buffer, then replay the pairs through fn. Draining before
+// the callback keeps the connection free of this handle's in-flight
+// state while fn runs, so fn may issue point operations on this same
+// handle (the dict.Ranger contract). Scans are idempotent: a failed
+// attempt restarts with an empty pair buffer, so fn sees exactly one
+// attempt's snapshot.
 func (h *handle) scan(snapshot bool, lo, hi uint64, fn func(k, v uint64) bool) {
-	t0 := time.Now()
-	slot := copScan
+	req, slot := byte(wire.OpScan), copScan
 	if snapshot {
-		slot = copSnapScan
+		req, slot = wire.OpSnapScan, copSnapScan
 	}
+	t0 := time.Now()
 	tid := h.maybeTrace()
-	h.trace = tid
-	// Scans are idempotent: a failed attempt restarts from scratch (the
-	// pair buffer is reset per attempt, and fn only runs after a full
-	// drain, so a retried scan replays exactly one attempt's snapshot).
-	err := h.retryIdempotent(func() error { return h.scanOnce(snapshot, lo, hi) })
-	h.trace = 0
-	if err != nil {
+	o := &h.pt
+	o.req, o.key, o.val = req, lo, hi
+	o.trace, o.submitT = tid, t0.UnixNano()
+	if err := h.run(h.one[:], 1); err != nil {
 		panic(fmt.Sprintf("client: scan: %v", err))
 	}
 	h.observe(slot, t0) // stream fully drained; excludes fn replay
-	op := byte(wire.OpScan)
-	if snapshot {
-		op = wire.OpSnapScan
-	}
-	h.traceSpan(tid, op, t0)
-	for i, n := 0, len(h.pairs)/16; i < n; i++ {
-		k, v := wire.PairAt(h.pairs, i)
+	h.traceSpan(tid, req, t0)
+	pairs := o.pairs // point ops run by fn reset o.pairs, not its contents
+	for i, n := 0, len(pairs)/16; i < n; i++ {
+		k, v := wire.PairAt(pairs, i)
 		if !fn(k, v) {
 			return
 		}
 	}
-}
-
-// scanOnce runs one scan attempt, leaving the pairs in h.pairs.
-func (h *handle) scanOnce(snapshot bool, lo, hi uint64) error {
-	id := h.nextID()
-	h.out = h.out[:0]
-	if h.trace != 0 {
-		h.out = wire.AppendTraceCtx(h.out, id, h.trace)
-	}
-	h.out = wire.AppendScan(h.out, id, snapshot, lo, hi)
-	if _, err := h.writeFrames(); err != nil {
-		return err
-	}
-	h.pairs = h.pairs[:0]
-	for {
-		rid, rop, payload, err := h.readFrame()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		if err := expect(rid, id, rop, wire.RespScanChunk, payload); err != nil {
-			return err
-		}
-		last, pb, err := wire.DecodeChunk(payload)
-		if err != nil {
-			return err
-		}
-		h.pairs = append(h.pairs, pb...)
-		if last {
-			return nil
-		}
-	}
-}
-
-func (h *handle) rpcStats() (wire.Stats, error) {
-	var st wire.Stats
-	err := h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendStats(h.out[:0], id)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		rid, rop, payload, err := h.readFrame()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		if err := expect(rid, id, rop, wire.RespStats, payload); err != nil {
-			return err
-		}
-		st, err = wire.DecodeStats(payload)
-		return err
-	})
-	return st, err
-}
-
-// rpcOpen retries like an idempotent op: re-opening the same
-// <name, keyRange> after a torn connection converges on the same state
-// (a fresh hosted instance) as a single OPEN.
-func (h *handle) rpcOpen(name string, keyRange uint64) error {
-	return h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendOpen(h.out[:0], id, keyRange, name)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		rid, rop, payload, err := h.readFrame()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		return expect(rid, id, rop, wire.RespOK, payload)
-	})
-}
-
-// rpcPromote issues PROMOTE (idempotent: the server's role flip is a
-// CAS and re-promoting a primary succeeds unchanged).
-func (h *handle) rpcPromote(ack int, addrs []string) error {
-	joined := strings.Join(addrs, ",")
-	return h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendPromote(h.out[:0], id, ack, joined)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		rid, rop, payload, err := h.readFrame()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		return expect(rid, id, rop, wire.RespOK, payload)
-	})
 }
 
 // rangeHandle adds remote weak scans (the hosted structure's handles

@@ -8,7 +8,6 @@ package client
 // per op — the warmed remote point path stays 0 allocs/op.
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -65,14 +64,14 @@ type rttHists struct {
 
 // observe records one completed operation's round trip.
 func (h *handle) observe(slot int, t0 time.Time) {
-	if h.rtt == nil || slot < 0 {
+	if slot < 0 {
 		return
 	}
 	d := time.Since(t0)
 	if d < 0 {
 		d = 0
 	}
-	h.rtt.h[slot].Record(h.hint, uint64(d))
+	h.c.rtt.h[slot].Record(h.hint, uint64(d))
 }
 
 // RTT snapshots the client-side round-trip histograms, keyed by
@@ -100,46 +99,18 @@ type ServerMetrics struct {
 // ServerMetrics fetches the server's observability snapshot over the
 // control connection.
 func (c *Client) ServerMetrics() (*ServerMetrics, error) {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return nil, err
+	// A retried stream rewrites every entry of a partial earlier attempt.
+	sm := &ServerMetrics{
+		Counters: make(map[string]uint64),
+		Gauges:   make(map[string]int64),
+		Hists:    make(map[string]*metrics.Snapshot),
 	}
-	return h.rpcMetrics()
-}
-
-func (h *handle) rpcMetrics() (*ServerMetrics, error) {
-	var sm *ServerMetrics
-	err := h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendMetricsReq(h.out[:0], id)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		sm = &ServerMetrics{
-			Counters: make(map[string]uint64),
-			Gauges:   make(map[string]int64),
-			Hists:    make(map[string]*metrics.Snapshot),
-		}
-		var it wire.MetricsItem
-		for {
-			rid, rop, payload, err := h.readFrame()
+	var it wire.MetricsItem
+	err := c.control(&op{req: wire.OpMetrics, encode: wire.AppendMetricsReq,
+		decode: func(p []byte) (bool, error) {
+			last, err := wire.DecodeMetricsItem(p, &it)
 			if err != nil {
-				return err
-			}
-			if rop == wire.RespBusy {
-				return errBusy
-			}
-			if rop == wire.RespError {
-				return respError(payload)
-			}
-			if rid != id || rop != wire.RespMetrics {
-				return fmt.Errorf("metrics response mismatch: got id=%d op=%#x, want id=%d op=%#x", rid, rop, id, wire.RespMetrics)
-			}
-			last, err := wire.DecodeMetricsItem(payload, &it)
-			if err != nil {
-				return err
+				return false, err
 			}
 			name := string(it.Name)
 			switch it.Kind {
@@ -152,11 +123,8 @@ func (h *handle) rpcMetrics() (*ServerMetrics, error) {
 				*s = it.Hist
 				sm.Hists[name] = s
 			}
-			if last {
-				return nil
-			}
-		}
-	})
+			return last, nil
+		}})
 	if err != nil {
 		return nil, err
 	}

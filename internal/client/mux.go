@@ -5,140 +5,80 @@ package client
 // connections, transparently merging their per-key Get/Put/Delete calls
 // into MGET/MPUT/MDELETE frames.
 //
-// Shape: each shared connection runs a combiner goroutine and a reader
-// goroutine under a supervisor. A caller's point operation parks in a
-// pooled muxOp, lands on the connection's buffered submission queue, and
-// blocks on its own done channel. The combiner drains the queue, staging
-// waiters by opcode class, and seals one batch frame per class (chunked
-// at the batch bound). The coalescing window is credit-bounded, not
-// timer-bounded: frames are written while the pipeline has credit (a
-// fixed number of frames in flight), and the combiner only blocks —
-// first flushing buffered frames to the wire — when credit runs out.
-// Under light load an op ships alone immediately (no fixed sleep, no
-// added latency floor); under load the submission queue fills exactly
-// while the combiner waits for credit, and the next frame carries
-// everything that accumulated — batch size adapts to the arrival rate,
-// bounded by MaxBatch. The reader completes each waiter from the batch
-// response by input position and returns the frame's credit.
+// A Mux connection is the same engine as a plain handle's (conn.go),
+// shared by many handles. Point ops queued while the connection's
+// credit window is full are combined into one frame per opcode class
+// (up to 512 waiters), so batch size adapts to the arrival rate: under
+// light load an op ships alone at once; under load the next frame
+// carries everything that piled up. Explicit dict.Batcher calls and
+// scans ride the same connection as their own frames, under the same
+// window, and follow the same retry and ambiguity rules (retry.go).
 //
-// Explicit dict.Batcher calls pass through as their own frames (they
-// are already batches; re-coalescing them would only add copying) but
-// share the connection, its credit window and its FIFO order with the
-// coalesced traffic.
-//
-// Fault tolerance: when a shared connection dies, the supervisor stops
-// both loops, salvages the in-flight state, redials with the Client's
-// backoff policy, and restarts a fresh generation. Salvage follows the
-// same ambiguity contract as plain handles (see retry.go): staged
-// waiters that never reached a frame are re-enqueued verbatim; in-flight
-// GET/MGET frames are idempotent and re-enqueued too; in-flight
-// mutation frames may have reached the server, so their waiters complete
-// with ErrAmbiguous (a BUSY rejection re-enqueues everything — the
-// rejecting server read nothing). dict.Handle methods panic on
-// ErrAmbiguous or exhausted retries; the Try* methods surface the error.
-//
-// Allocation discipline: muxOps live in their handles, frames and
-// response scratch are pooled per connection, and the submission path
-// is channel sends of pooled pointers — a warmed-up per-key operation
-// through the mux allocates nothing on either endpoint (enforced by
+// Allocation discipline: ops live in their handles and frames in the
+// connection's slot table, so a warmed-up per-key operation through the
+// mux allocates nothing on either endpoint (enforced by
 // internal/server's TestAllocsMux).
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dict"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
-	"repro/internal/xrand"
 )
 
 // MuxConfig tunes a Mux. The zero value is ready: one shared
-// connection, MaxBatch 512, an 8-frame credit window, default retries.
+// connection, an 8-frame credit window, default retries.
 type MuxConfig struct {
 	// Conns is the number of shared connections (default 1). Handles are
 	// assigned round-robin; more connections trade coalescing density
 	// for wire parallelism.
 	Conns int
-	// MaxBatch caps how many waiters one coalesced frame carries
-	// (default 512, capped at wire.MaxBatch). Smaller values bound the
-	// per-frame service time a coalesced op can be charged for.
-	MaxBatch int
 	// Window is the per-connection credit: how many frames may be in
-	// flight before the combiner blocks (default 8, capped at 32). The
-	// window is what turns backpressure into batching — while the
-	// combiner waits for credit, arriving ops pile into the next frame.
+	// flight before callers queue (default 8, capped at 32, the server's
+	// per-connection request slots). The window is what turns
+	// backpressure into batching — while it is full, arriving ops pile
+	// into the next frame.
 	Window int
 	// Net is the dial/retry policy (shared with the control client).
 	Net Config
 }
 
-const (
-	muxSlotCount  = 64 // response-matching slots; > max window, power of two
-	muxSlotMask   = muxSlotCount - 1
-	muxMaxWindow  = 32   // window cap; must stay below muxSlotCount
-	muxSubDepth   = 4096 // submission queue depth per connection
-	muxBatchFlush = 8    // explicit-batch frames staged per combiner round
-)
+// muxMaxWindow caps MuxConfig.Window.
+const muxMaxWindow = 32
 
 // Mux is a shared-connection coalescing client. It implements dict.Dict
 // (plus dict.RQStatser and dict.ElimStatser) exactly like Client, so
 // bench.NewDict can hand it to every workload unchanged; control-plane
-// operations (STATS, OPEN, KeySum) and scans ride a plain Client under
-// the hood.
+// operations (STATS, OPEN, KeySum) ride the Client under the hood.
 type Mux struct {
-	c     *Client // control plane + scan connections
-	conns []*muxConn
+	c     *Client
+	conns []*conn
 	next  atomic.Uint64 // handle round-robin counter
-
-	inflight metrics.Gauge     // ops submitted, not yet completed
-	coalesce metrics.Histogram // waiters per coalesced point frame
-
-	closeOnce sync.Once
-	closeErr  error
 }
 
-// DialMux connects a Mux to an abtree server: cfg.Conns shared data
-// connections plus a Client for control and scans.
+// DialMux connects a Mux to an abtree server: a Client for control,
+// then cfg.Conns shared data connections.
 func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
 	c, err := DialConfig(addr, cfg.Net)
 	if err != nil {
 		return nil, err
 	}
-	nconns := cfg.Conns
-	if nconns <= 0 {
-		nconns = 1
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 512
-	}
-	if maxBatch > wire.MaxBatch {
-		maxBatch = wire.MaxBatch
-	}
 	window := cfg.Window
 	if window <= 0 {
 		window = 8
 	}
-	if window > muxMaxWindow {
-		window = muxMaxWindow
-	}
+	window = min(window, muxMaxWindow)
 	m := &Mux{c: c}
-	for i := 0; i < nconns; i++ {
-		mc, err := m.dialConn(addr, i, maxBatch, window)
+	for i := 0; i < max(cfg.Conns, 1); i++ {
+		e, err := c.newConn(window, true, i)
 		if err != nil {
-			m.Close()
+			c.Close()
 			return nil, fmt.Errorf("client: mux dial %s: %w", addr, err)
 		}
-		m.conns = append(m.conns, mc)
+		m.conns = append(m.conns, e)
 	}
 	return m, nil
 }
@@ -146,19 +86,7 @@ func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
 // Close tears down the shared connections and the control client. It
 // must not race in-flight operations (finish or abandon your workers
 // first — the dict contract's quiescence rule, extended to teardown).
-func (m *Mux) Close() error {
-	m.closeOnce.Do(func() {
-		for _, mc := range m.conns {
-			mc.closed.Store(true)
-		}
-		for _, mc := range m.conns {
-			close(mc.quit)
-			mc.closeConn()
-		}
-		m.closeErr = m.c.Close()
-	})
-	return m.closeErr
-}
+func (m *Mux) Close() error { return m.c.Close() }
 
 // Name returns the hosted structure's registry name.
 func (m *Mux) Name() string { return m.c.Name() }
@@ -178,15 +106,14 @@ func (m *Mux) RQStats() (scans, versions uint64) { return m.c.RQStats() }
 // ElimStats reports the hosted structure's elimination counters.
 func (m *Mux) ElimStats() (inserts, deletes, upserts uint64) { return m.c.ElimStats() }
 
-// RTT snapshots the client-side round-trip histograms (shared with the
-// control client's scan handles).
+// RTT snapshots the client-side round-trip histograms.
 func (m *Mux) RTT() map[string]*metrics.Snapshot { return m.c.RTT() }
 
 // ServerMetrics fetches the server's observability snapshot.
 func (m *Mux) ServerMetrics() (*ServerMetrics, error) { return m.c.ServerMetrics() }
 
-// Tracer returns the mux's local span collector (shared with the
-// control client; nil unless Net.TraceEvery > 0).
+// Tracer returns the mux's local span collector (nil unless
+// Net.TraceEvery > 0).
 func (m *Mux) Tracer() *trace.Collector { return m.c.Tracer() }
 
 // LocalTraces dumps the client-side trace collector.
@@ -196,923 +123,28 @@ func (m *Mux) LocalTraces(max int) []trace.Trace { return m.c.LocalTraces(max) }
 // connection.
 func (m *Mux) ServerTraces(max int) ([]ServerTrace, error) { return m.c.ServerTraces(max) }
 
-// FaultStats snapshots the fault-path counters (shared with the control
-// client: redials, retries, ambiguous completions, BUSY rejections).
+// FaultStats snapshots the fault-path counters: redials, retries,
+// ambiguous completions, BUSY rejections.
 func (m *Mux) FaultStats() FaultStats { return m.c.FaultStats() }
 
 // CoalesceStats snapshots the client-side coalesce_batch_size
-// histogram: how many waiters each coalesced point frame carried.
+// histogram: how many waiters each point frame carried.
 func (m *Mux) CoalesceStats() *metrics.Snapshot {
 	s := new(metrics.Snapshot)
-	m.coalesce.Snapshot(s)
+	m.c.coalesce.Snapshot(s)
 	return s
 }
 
 // Inflight reports the mux_inflight gauge: operations submitted and not
 // yet completed across every handle.
-func (m *Mux) Inflight() int64 { return m.inflight.Load() }
+func (m *Mux) Inflight() int64 { return m.c.inflight.Load() }
 
-// NewHandle returns a per-goroutine accessor multiplexed onto one of
-// the shared connections (round-robin). Handles are cheap — no dial —
-// so any number of worker goroutines can share a connection. The
-// dynamic type exposes the hosted structure's scan capabilities, like
-// Client.NewHandle; scans ride a dedicated per-handle connection dialed
-// lazily on first use (scans are streamed and would head-of-line block
-// the shared pipe).
+// NewHandle returns a per-goroutine accessor on one of the shared
+// connections (round-robin). Handles are cheap — no dial — so any
+// number of worker goroutines can share a connection. The dynamic type
+// exposes the hosted structure's scan capabilities, like
+// Client.NewHandle.
 func (m *Mux) NewHandle() dict.Handle {
 	i := m.next.Add(1)
-	h := &muxHandle{
-		m:    m,
-		mc:   m.conns[int(i-1)%len(m.conns)],
-		hint: int(i),
-	}
-	h.op.done = make(chan struct{}, 1)
-	m.c.mu.Lock()
-	caps := m.c.caps
-	m.c.mu.Unlock()
-	if !caps.CanRange {
-		return h
-	}
-	rh := &muxRangeHandle{h}
-	if !caps.CanSnap {
-		return rh
-	}
-	return &muxSnapHandle{muxRangeHandle{h}}
-}
-
-// muxOp is one parked operation: a point op (op/key/val, completed into
-// resVal/resOk) or an explicit-batch pass-through (keys/vals slices,
-// completed into the caller's resVals/resOks). done is buffered so the
-// completer never blocks. resErr carries a fault-path failure
-// (ErrAmbiguous, an application respError, or a terminal reconnect
-// failure) to the submitting goroutine.
-type muxOp struct {
-	op       byte
-	key, val uint64
-
-	keys, vals []uint64 // explicit batch input (nil for point ops)
-	resVals    []uint64 // explicit batch results (caller's slices)
-	resOks     []bool
-
-	resVal uint64 // point result
-	resOk  bool
-	resErr error
-
-	trace   uint64 // head-sampled trace id (0: untraced); reset per call
-	submitT int64  // submit stamp (unixnano) for the mux-stage span
-
-	done chan struct{}
-}
-
-// muxFrame is one in-flight frame's completion state: the waiters to
-// scatter a coalesced response into, or the single explicit-batch op.
-// Pooled per connection.
-type muxFrame struct {
-	id      uint64
-	waiters []*muxOp
-	bop     *muxOp   // non-nil for explicit-batch pass-through frames
-	vals    []uint64 // coalesced response decode scratch
-	oks     []bool
-}
-
-// muxGen is one connection generation's control surface: the combiner
-// and reader of a generation exit when stop closes, reporting the first
-// failure on errc.
-type muxGen struct {
-	stop chan struct{}
-	errc chan error
-	wg   sync.WaitGroup
-}
-
-func (g *muxGen) fail(err error) {
-	select {
-	case g.errc <- err:
-	default:
-	}
-}
-
-// errGenStopped is the combiner's silent exit signal (the generation is
-// being torn down by the supervisor; nothing is wrong with this loop).
-var errGenStopped = errors.New("generation stopped")
-
-// muxConn is one shared connection: a combiner goroutine owning the
-// write side (staging, framing, credit) and a reader goroutine owning
-// the read side (matching responses by id, completing waiters,
-// returning credit), restarted across reconnects by a supervisor that
-// owns the socket and all inter-generation state.
-type muxConn struct {
-	m        *Mux
-	idx      int    // connection index, metrics shard hint
-	addr     string // redial target
-	maxBatch int
-	window   int
-
-	ncMu sync.Mutex
-	nc   net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-
-	subq    chan *muxOp
-	quit    chan struct{}
-	closed  atomic.Bool
-	failed  chan struct{} // closed on terminal reconnect failure
-	failErr error         // set before failed closes
-
-	credits chan struct{}
-	slots   [muxSlotCount]atomic.Pointer[muxFrame]
-	frees   chan *muxFrame
-
-	rng *xrand.Rand // supervisor backoff jitter
-
-	id uint64 // combiner-owned frame id counter
-
-	// Combiner staging and scratch (supervisor-owned between generations).
-	points  [3][]*muxOp // staged point waiters by class (get/put/delete)
-	batches []*muxOp    // staged explicit-batch pass-throughs
-	keyBuf  []uint64
-	valBuf  []uint64
-	out     []byte
-
-	// Reader scratch.
-	hdr [wire.HeaderLen]byte
-	in  []byte
-}
-
-func (m *Mux) dialConn(addr string, idx, maxBatch, window int) (*muxConn, error) {
-	nc, err := net.DialTimeout("tcp", addr, m.c.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	mc := &muxConn{
-		m:        m,
-		idx:      idx & (metrics.NumShards - 1),
-		addr:     addr,
-		nc:       nc,
-		br:       bufio.NewReaderSize(nc, 64<<10),
-		bw:       bufio.NewWriterSize(nc, 64<<10),
-		maxBatch: maxBatch,
-		window:   window,
-		subq:     make(chan *muxOp, muxSubDepth),
-		quit:     make(chan struct{}),
-		failed:   make(chan struct{}),
-		credits:  make(chan struct{}, window),
-		frees:    make(chan *muxFrame, muxSlotCount),
-		rng:      newRetryRNG(idx + 1<<20),
-	}
-	for i := 0; i < window; i++ {
-		mc.credits <- struct{}{}
-	}
-	go mc.supervise()
-	return mc, nil
-}
-
-func (mc *muxConn) closeConn() {
-	mc.ncMu.Lock()
-	if mc.nc != nil {
-		mc.nc.Close()
-	}
-	mc.ncMu.Unlock()
-}
-
-func (mc *muxConn) setConn(nc net.Conn) {
-	mc.ncMu.Lock()
-	mc.nc = nc
-	mc.ncMu.Unlock()
-	mc.br.Reset(nc)
-	mc.bw.Reset(nc)
-}
-
-// supervise runs connection generations: start combiner+reader, wait
-// for the first failure, stop both, salvage in-flight state, redial,
-// repeat. Deliberate Close exits; exhausted redials fail the connection
-// terminally (every parked and future op completes with the error).
-func (mc *muxConn) supervise() {
-	for {
-		g := &muxGen{stop: make(chan struct{}), errc: make(chan error, 2)}
-		g.wg.Add(2)
-		go func() { defer g.wg.Done(); mc.combiner(g) }()
-		go func() { defer g.wg.Done(); mc.reader(g) }()
-		var genErr error
-		select {
-		case genErr = <-g.errc:
-		case <-mc.quit:
-		}
-		close(g.stop)
-		mc.closeConn() // unblock whichever loop is still in I/O
-		g.wg.Wait()
-		if mc.closed.Load() {
-			return // deliberate Close; Close's contract says no in-flight ops
-		}
-		// A BUSY rejection arrives at accept time, before the server reads
-		// anything — every in-flight frame (mutations included) is safe to
-		// replay on the next connection.
-		busy := errors.Is(genErr, errBusy)
-		if busy {
-			mc.m.c.faults.busy.Add(1)
-		}
-		mc.salvage(busy)
-		if err := mc.redial(); err != nil {
-			mc.failTerminal(fmt.Errorf("client: mux conn %d: reconnect: %w (after %v)", mc.idx, err, genErr))
-			return
-		}
-	}
-}
-
-// salvage reclaims every in-flight frame after a generation died:
-// idempotent waiters (GET/MGET) are re-staged for the next generation,
-// mutation waiters complete with ErrAmbiguous (their frame may have
-// reached the server) unless requeueAll says the server never read them.
-// Credits are reset to a full window; staged-but-never-framed waiters
-// are already in the staging arrays and simply carry over.
-func (mc *muxConn) salvage(requeueAll bool) {
-	ambiguous := 0
-	for i := range mc.slots {
-		f := mc.slots[i].Load()
-		if f == nil {
-			continue
-		}
-		mc.slots[i].Store(nil)
-		if f.bop != nil {
-			o := f.bop
-			if requeueAll || o.op == wire.OpMGet {
-				mc.batches = append(mc.batches, o)
-			} else {
-				o.resErr = fmt.Errorf("%w (mux conn %d, op %#x)", ErrAmbiguous, mc.idx, o.op)
-				ambiguous++
-				o.done <- struct{}{}
-			}
-		} else {
-			for _, o := range f.waiters {
-				if requeueAll || o.op == wire.OpGet {
-					cls := pointClass(o.op)
-					mc.points[cls] = append(mc.points[cls], o)
-				} else {
-					o.resErr = fmt.Errorf("%w (mux conn %d, op %#x)", ErrAmbiguous, mc.idx, o.op)
-					ambiguous++
-					o.done <- struct{}{}
-				}
-			}
-			f.waiters = f.waiters[:0]
-		}
-		mc.putFrame(f)
-	}
-	if ambiguous > 0 {
-		mc.m.c.faults.ambiguous.Add(uint64(ambiguous))
-	}
-	for drained := false; !drained; {
-		select {
-		case <-mc.credits:
-		default:
-			drained = true
-		}
-	}
-	for i := 0; i < mc.window; i++ {
-		mc.credits <- struct{}{}
-	}
-}
-
-// redial reconnects the shared connection under the Client's backoff
-// policy.
-func (mc *muxConn) redial() error {
-	cfg := mc.m.c.cfg
-	for attempt := 0; ; attempt++ {
-		if mc.closed.Load() {
-			return errClientClosed
-		}
-		nc, err := net.DialTimeout("tcp", mc.addr, cfg.DialTimeout)
-		if err == nil {
-			mc.setConn(nc)
-			mc.m.c.faults.redials.Add(1)
-			return nil
-		}
-		if attempt >= cfg.RetryAttempts {
-			return err
-		}
-		d := cfg.RetryBackoff << uint(attempt)
-		if d > cfg.RetryBackoffMax || d <= 0 {
-			d = cfg.RetryBackoffMax
-		}
-		time.Sleep(d/2 + time.Duration(mc.rng.Uint64n(uint64(d))))
-		mc.m.c.faults.retries.Add(1)
-	}
-}
-
-// failTerminal completes every parked waiter with err and fails all
-// future submissions until Close.
-func (mc *muxConn) failTerminal(err error) {
-	mc.failErr = err
-	close(mc.failed)
-	for cls := range mc.points {
-		for _, o := range mc.points[cls] {
-			o.resErr = err
-			o.done <- struct{}{}
-		}
-		mc.points[cls] = mc.points[cls][:0]
-	}
-	for _, o := range mc.batches {
-		o.resErr = err
-		o.done <- struct{}{}
-	}
-	mc.batches = mc.batches[:0]
-	for {
-		select {
-		case o := <-mc.subq:
-			o.resErr = err
-			o.done <- struct{}{}
-		case <-mc.quit:
-			return
-		}
-	}
-}
-
-// pointClass maps a point opcode to its staging class (-1 otherwise).
-func pointClass(op byte) int {
-	switch op {
-	case wire.OpGet:
-		return 0
-	case wire.OpPut:
-		return 1
-	case wire.OpDelete:
-		return 2
-	}
-	return -1
-}
-
-// pointBatchOp is the batch opcode each staging class seals into.
-var pointBatchOp = [3]byte{wire.OpMGet, wire.OpMPut, wire.OpMDelete}
-
-// staged reports how many waiters are parked in the staging arrays
-// (non-zero right after a salvage carried work into this generation).
-func (mc *muxConn) staged() int {
-	n := len(mc.batches)
-	for cls := range mc.points {
-		n += len(mc.points[cls])
-	}
-	return n
-}
-
-// combiner drains the submission queue into frames: block for the first
-// op (unless salvage left work staged), then greedily stage everything
-// already queued, then flush. Flush blocks on credit only after pushing
-// buffered frames to the wire, so backpressure turns directly into
-// larger next-round batches.
-func (mc *muxConn) combiner(g *muxGen) {
-	for {
-		if mc.staged() == 0 {
-			select {
-			case op := <-mc.subq:
-				mc.stage(op)
-			case <-g.stop:
-				return
-			case <-mc.quit:
-				return
-			}
-		}
-		full := false
-		for !full {
-			select {
-			case op := <-mc.subq:
-				full = mc.stage(op)
-			default:
-				full = true
-			}
-		}
-		if err := mc.flush(g); err != nil {
-			if !errors.Is(err, errGenStopped) {
-				g.fail(err)
-			}
-			return
-		}
-	}
-}
-
-// stage parks one op in its class, reporting whether any class hit its
-// frame bound (time to flush even though the queue may be non-empty).
-func (mc *muxConn) stage(op *muxOp) bool {
-	if cls := pointClass(op.op); cls >= 0 {
-		mc.points[cls] = append(mc.points[cls], op)
-		return len(mc.points[cls]) >= mc.maxBatch
-	}
-	mc.batches = append(mc.batches, op)
-	return len(mc.batches) >= muxBatchFlush
-}
-
-// flush seals every staged class into frames (chunked at maxBatch —
-// salvage can stage more than one frame's worth) and writes them, then
-// flushes the socket. Waiters move out of the staging arrays the moment
-// their frame is sealed, so a mid-flush failure leaves each op in
-// exactly one place: its frame's slot (salvaged as in-flight) or the
-// staging array (carried to the next generation untouched).
-func (mc *muxConn) flush(g *muxGen) error {
-	for cls := range mc.points {
-		for len(mc.points[cls]) > 0 {
-			ops := mc.points[cls]
-			n := min(len(ops), mc.maxBatch)
-			f := mc.getFrame()
-			f.bop = nil
-			f.waiters = append(f.waiters[:0], ops[:n]...)
-			mc.points[cls] = append(ops[:0], ops[n:]...) // keep remainder staged
-			mc.keyBuf = mc.keyBuf[:0]
-			for _, o := range f.waiters {
-				mc.keyBuf = append(mc.keyBuf, o.key)
-			}
-			var vals []uint64
-			op := pointBatchOp[cls]
-			if op == wire.OpMPut {
-				mc.valBuf = mc.valBuf[:0]
-				for _, o := range f.waiters {
-					mc.valBuf = append(mc.valBuf, o.val)
-				}
-				vals = mc.valBuf
-			}
-			mc.m.coalesce.Record(mc.idx, uint64(len(f.waiters)))
-			if err := mc.writeFrame(g, f, op, mc.keyBuf, vals); err != nil {
-				return err
-			}
-		}
-	}
-	for len(mc.batches) > 0 {
-		o := mc.batches[0]
-		n := copy(mc.batches, mc.batches[1:])
-		mc.batches[n] = nil
-		mc.batches = mc.batches[:n]
-		f := mc.getFrame()
-		f.bop = o
-		f.waiters = f.waiters[:0]
-		if err := mc.writeFrame(g, f, o.op, o.keys, o.vals); err != nil {
-			return err
-		}
-	}
-	if err := mc.bw.Flush(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// acquireCredit takes one in-flight slot. If none is free it first
-// flushes the socket — frames sitting in the bufio buffer earn no
-// responses, and blocking on credit with the window fully buffered
-// would deadlock — then blocks until the reader returns one.
-func (mc *muxConn) acquireCredit(g *muxGen) error {
-	select {
-	case <-mc.credits:
-		return nil
-	default:
-	}
-	if err := mc.bw.Flush(); err != nil {
-		return err
-	}
-	select {
-	case <-mc.credits:
-		return nil
-	case <-g.stop:
-		return errGenStopped
-	case <-mc.quit:
-		return errGenStopped
-	}
-}
-
-// writeFrame installs the frame in its response slot and writes it to
-// the buffered socket (flushed by the caller or by credit pressure).
-// Slots cannot collide: ids are sequential, at most window (< slot
-// count) frames are ever in flight, and salvage empties the table
-// between generations. A frame carrying traced waiters is announced by
-// one OpTraceCtx frame (the first traced waiter's id — the server holds
-// one pending trace per connection) and closes each traced waiter's
-// mux-stage span here, at seal time.
-func (mc *muxConn) writeFrame(g *muxGen, f *muxFrame, op byte, keys, vals []uint64) error {
-	if err := mc.acquireCredit(g); err != nil {
-		// Never entered a slot: put the frame's waiters back in staging
-		// so they carry to the next generation (or terminal failure).
-		mc.unseal(f)
-		return err
-	}
-	mc.id++
-	f.id = mc.id
-	mc.slots[f.id&muxSlotMask].Store(f)
-	tid := mc.sealSpans(f)
-	mc.out = mc.out[:0]
-	if tid != 0 {
-		mc.out = wire.AppendTraceCtx(mc.out, f.id, tid)
-	}
-	mc.out = wire.AppendBatch(mc.out, f.id, op, keys, vals)
-	if _, err := mc.bw.Write(mc.out); err != nil {
-		return err
-	}
-	return nil
-}
-
-// sealSpans records a mux-stage span (submit → frame seal, Aux = the
-// frame's waiter count) for every traced waiter of a sealing frame and
-// returns the trace id the frame should announce: the first traced
-// waiter's (only one trace can own the server-side request). 0 allocs
-// on the untraced path.
-func (mc *muxConn) sealSpans(f *muxFrame) uint64 {
-	var first uint64
-	var sealNs uint64
-	span := func(o *muxOp, members int) {
-		if o.trace == 0 {
-			return
-		}
-		if first == 0 {
-			first = o.trace
-		}
-		if sealNs == 0 {
-			sealNs = uint64(time.Now().UnixNano())
-		}
-		var dur uint64
-		if st := uint64(o.submitT); sealNs > st {
-			dur = sealNs - st
-		}
-		mc.m.c.tracer.Record(mc.idx, trace.Span{
-			TraceID: o.trace, Kind: trace.KindMuxStage, Op: o.op,
-			Start: uint64(o.submitT), Dur: dur, Aux: uint64(members),
-		})
-	}
-	if f.bop != nil {
-		span(f.bop, 1)
-		return first
-	}
-	for _, o := range f.waiters {
-		span(o, len(f.waiters))
-	}
-	return first
-}
-
-// unseal returns a sealed-but-not-installed frame's waiters to staging.
-func (mc *muxConn) unseal(f *muxFrame) {
-	if f.bop != nil {
-		mc.batches = append(mc.batches, f.bop)
-	} else {
-		for _, o := range f.waiters {
-			if cls := pointClass(o.op); cls >= 0 {
-				mc.points[cls] = append(mc.points[cls], o)
-			}
-		}
-		f.waiters = f.waiters[:0]
-	}
-	mc.putFrame(f)
-}
-
-// reader matches response frames to in-flight state by echoed id,
-// completes every waiter, recycles the frame and returns its credit.
-// Transport and protocol failures end the generation; application-level
-// RespError frames fail only their own waiters (the connection stays
-// healthy).
-func (mc *muxConn) reader(g *muxGen) {
-	for {
-		id, rop, payload, err := mc.readFrame()
-		if err != nil {
-			g.fail(err)
-			return
-		}
-		if rop == wire.RespBusy {
-			g.fail(errBusy)
-			return
-		}
-		f := mc.slots[id&muxSlotMask].Load()
-		if f == nil || f.id != id {
-			g.fail(fmt.Errorf("response id %d matches no in-flight frame", id))
-			return
-		}
-		var appErr error
-		if rop == wire.RespError {
-			appErr = respError(payload)
-		} else if rop != wire.RespBatch {
-			g.fail(fmt.Errorf("unexpected response op %#x", rop))
-			return
-		}
-		if f.bop != nil {
-			o := f.bop
-			if appErr == nil {
-				// The mux targets standalone servers; a replication seq,
-				// if present, is dropped (routing clients use per-goroutine
-				// handles, which track it).
-				if _, err := wire.DecodeBatch(payload, o.resVals, o.resOks); err != nil {
-					g.fail(err)
-					return
-				}
-			}
-			o.resErr = appErr
-			mc.slots[id&muxSlotMask].Store(nil)
-			mc.putFrame(f)
-			o.done <- struct{}{}
-		} else {
-			n := len(f.waiters)
-			if appErr == nil {
-				if cap(f.vals) < n {
-					f.vals = make([]uint64, n)
-					f.oks = make([]bool, n)
-				}
-				if _, err := wire.DecodeBatch(payload, f.vals[:n], f.oks[:n]); err != nil {
-					g.fail(err)
-					return
-				}
-			}
-			vals, oks := f.vals[:cap(f.vals)], f.oks[:cap(f.oks)]
-			for i, o := range f.waiters {
-				if appErr == nil {
-					o.resVal, o.resOk, o.resErr = vals[i], oks[i], nil
-				} else {
-					o.resErr = appErr
-				}
-				o.done <- struct{}{}
-			}
-			mc.slots[id&muxSlotMask].Store(nil)
-			mc.putFrame(f)
-		}
-		mc.credits <- struct{}{}
-	}
-}
-
-// readFrame reads one response frame into the reader's scratch.
-func (mc *muxConn) readFrame() (id uint64, op byte, payload []byte, err error) {
-	if _, err := io.ReadFull(mc.br, mc.hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	length := binary.LittleEndian.Uint32(mc.hdr[:4])
-	if length < wire.HeaderLen-4 || length > wire.MaxFrame {
-		return 0, 0, nil, fmt.Errorf("bad response frame length %d", length)
-	}
-	id = binary.LittleEndian.Uint64(mc.hdr[4:12])
-	op = mc.hdr[12]
-	n := int(length) - (wire.HeaderLen - 4)
-	if cap(mc.in) < n {
-		mc.in = make([]byte, n)
-	}
-	mc.in = mc.in[:n]
-	if _, err := io.ReadFull(mc.br, mc.in); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, op, mc.in, nil
-}
-
-func (mc *muxConn) getFrame() *muxFrame {
-	select {
-	case f := <-mc.frees:
-		return f
-	default:
-		return &muxFrame{}
-	}
-}
-
-func (mc *muxConn) putFrame(f *muxFrame) {
-	f.bop = nil
-	select {
-	case mc.frees <- f:
-	default:
-	}
-}
-
-// muxHandle is a per-goroutine accessor multiplexed onto a shared
-// connection. Not safe for concurrent use, like every dict.Handle —
-// the sharing happens below it, in the connection.
-type muxHandle struct {
-	m    *Mux
-	mc   *muxConn
-	hint int // metrics stripe
-
-	op     muxOp    // reused point-op parking slot
-	bops   []*muxOp // reused explicit-batch sub-ops (chunk pipelining)
-	traceN int      // ops since this handle's last head sample
-	scanH  dict.Handle
-}
-
-// maybeTrace head-samples the next op on this mux handle (the plain
-// handle's policy: Config.TraceEvery, gated on CapTrace). 0 allocs.
-func (h *muxHandle) maybeTrace() uint64 {
-	c := h.m.c
-	if c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
-		return 0
-	}
-	h.traceN++
-	if h.traceN < c.cfg.TraceEvery {
-		return 0
-	}
-	h.traceN = 0
-	return c.traceSeq.Add(1)
-}
-
-// traceSpan closes a sampled mux op's client span (submit to
-// completion, the whole coalesced round trip).
-func (h *muxHandle) traceSpan(tid uint64, op byte, t0 time.Time) {
-	if tid == 0 {
-		return
-	}
-	d := time.Since(t0)
-	if d < 0 {
-		d = 0
-	}
-	h.m.c.tracer.Record(h.hint, trace.Span{
-		TraceID: tid, Kind: trace.KindClient, Op: op,
-		Start: uint64(t0.UnixNano()), Dur: uint64(d),
-	})
-	h.m.c.tracer.RecordTail(op, tid, uint64(d))
-}
-
-// submit parks o on the shared connection and blocks until it is
-// completed (possibly with o.resErr set). On a terminally failed
-// connection the op completes locally with the terminal error.
-func (h *muxHandle) submit(o *muxOp) {
-	o.resErr = nil
-	select {
-	case h.mc.subq <- o:
-	case <-h.mc.quit:
-		panic("client: mux: operation on closed mux")
-	case <-h.mc.failed:
-		o.resErr = h.mc.failErr
-		return
-	}
-	<-o.done
-}
-
-func (h *muxHandle) tryPoint(opcode byte, key, val uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	h.m.inflight.Add(h.hint, 1)
-	o := &h.op
-	o.op, o.key, o.val = opcode, key, val
-	o.keys, o.vals = nil, nil
-	o.trace, o.submitT = tid, t0.UnixNano()
-	h.submit(o)
-	h.m.inflight.Add(h.hint, -1)
-	if o.resErr != nil {
-		return 0, false, o.resErr
-	}
-	h.observeRTT(copFor(opcode), t0)
-	h.traceSpan(tid, opcode, t0)
-	return o.resVal, o.resOk, nil
-}
-
-func (h *muxHandle) point(opcode byte, key, val uint64) (uint64, bool) {
-	v, ok, err := h.tryPoint(opcode, key, val)
-	if err != nil {
-		panic(fmt.Sprintf("client: mux point op %#x: %v", opcode, err))
-	}
-	return v, ok
-}
-
-func (h *muxHandle) observeRTT(slot int, t0 time.Time) {
-	if slot < 0 {
-		return
-	}
-	d := time.Since(t0)
-	if d < 0 {
-		d = 0
-	}
-	h.m.c.rtt.h[slot].Record(h.hint, uint64(d))
-}
-
-// Find looks up key on the remote structure (coalesced).
-func (h *muxHandle) Find(key uint64) (uint64, bool) { return h.point(wire.OpGet, key, 0) }
-
-// Insert inserts <key, val> if absent (coalesced; dict.Handle.Insert
-// semantics).
-func (h *muxHandle) Insert(key, val uint64) (uint64, bool) { return h.point(wire.OpPut, key, val) }
-
-// Delete removes key if present (coalesced).
-func (h *muxHandle) Delete(key uint64) (uint64, bool) { return h.point(wire.OpDelete, key, 0) }
-
-// TryFind is Find with an error result instead of a panic (TryHandle).
-func (h *muxHandle) TryFind(key uint64) (uint64, bool, error) {
-	return h.tryPoint(wire.OpGet, key, 0)
-}
-
-// TryInsert is Insert with an error result; ErrAmbiguous means the
-// insert may or may not have been applied.
-func (h *muxHandle) TryInsert(key, val uint64) (uint64, bool, error) {
-	return h.tryPoint(wire.OpPut, key, val)
-}
-
-// TryDelete is Delete with an error result; ErrAmbiguous means the
-// delete may or may not have been applied.
-func (h *muxHandle) TryDelete(key uint64) (uint64, bool, error) {
-	return h.tryPoint(wire.OpDelete, key, 0)
-}
-
-// bop returns the i-th reused explicit-batch sub-op.
-func (h *muxHandle) bop(i int) *muxOp {
-	for len(h.bops) <= i {
-		h.bops = append(h.bops, &muxOp{done: make(chan struct{}, 1)})
-	}
-	return h.bops[i]
-}
-
-// runBatch drives one explicit dict.Batcher call through the shared
-// connection: chunks of wire.MaxBatch submitted as pass-through frames.
-// Chunks are pipelined (submitted back-to-back, then awaited) unless a
-// mutating batch has equal keys straddling chunks — the combiner and
-// server preserve order within one frame but not across frames racing
-// other traffic, so only chunk-at-a-time submission keeps dict.Batcher's
-// equal-keys-apply-in-input-order contract (same rule as handle.batch).
-func (h *muxHandle) runBatch(op byte, keys, ivals, ovals []uint64, oks []bool) {
-	if len(ovals) != len(keys) || len(oks) != len(keys) || (op == wire.OpMPut && len(ivals) != len(keys)) {
-		panic("client: batch result slices must match len(keys)")
-	}
-	if len(keys) == 0 {
-		return
-	}
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	h.m.inflight.Add(h.hint, int64(len(keys)))
-	serial := op != wire.OpMGet && len(keys) > wire.MaxBatch && crossFrameDup(keys)
-	nsub := 0
-	var firstErr error
-	for off := 0; off < len(keys); off += wire.MaxBatch {
-		end := min(off+wire.MaxBatch, len(keys))
-		o := h.bop(nsub)
-		o.op = op
-		o.trace, o.submitT = 0, t0.UnixNano()
-		if off == 0 {
-			o.trace = tid // the trace rides the first chunk (see handle.batch)
-		}
-		o.keys = keys[off:end]
-		if op == wire.OpMPut {
-			o.vals = ivals[off:end]
-		} else {
-			o.vals = nil
-		}
-		o.resVals, o.resOks = ovals[off:end], oks[off:end]
-		if serial {
-			h.submit(o)
-			if o.resErr != nil && firstErr == nil {
-				firstErr = o.resErr
-				break
-			}
-		} else {
-			o.resErr = nil
-			select {
-			case h.mc.subq <- o:
-				nsub++
-			case <-h.mc.quit:
-				panic("client: mux: operation on closed mux")
-			case <-h.mc.failed:
-				if firstErr == nil {
-					firstErr = h.mc.failErr
-				}
-			}
-			if firstErr != nil {
-				break
-			}
-		}
-	}
-	for i := 0; i < nsub; i++ {
-		<-h.bops[i].done
-		if err := h.bops[i].resErr; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	h.m.inflight.Add(h.hint, -int64(len(keys)))
-	if firstErr != nil {
-		panic(fmt.Sprintf("client: mux batch op %#x: %v", op, firstErr))
-	}
-	h.observeRTT(copFor(op), t0)
-	h.traceSpan(tid, op, t0)
-}
-
-// FindBatch looks up keys[i] for every i (dict.Batcher over the shared
-// connection).
-func (h *muxHandle) FindBatch(keys, vals []uint64, found []bool) {
-	h.runBatch(wire.OpMGet, keys, nil, vals, found)
-}
-
-// InsertBatch inserts <keys[i], vals[i]> where absent (dict.Batcher
-// over the shared connection).
-func (h *muxHandle) InsertBatch(keys, vals []uint64, prev []uint64, inserted []bool) {
-	h.runBatch(wire.OpMPut, keys, vals, prev, inserted)
-}
-
-// DeleteBatch removes keys[i] where present (dict.Batcher over the
-// shared connection).
-func (h *muxHandle) DeleteBatch(keys []uint64, prev []uint64, deleted []bool) {
-	h.runBatch(wire.OpMDelete, keys, nil, prev, deleted)
-}
-
-// scanHandle lazily dials this handle's dedicated scan connection (a
-// plain Client handle; scans are streamed and must not head-of-line
-// block the shared pipe).
-func (h *muxHandle) scanHandle() dict.Handle {
-	if h.scanH == nil {
-		h.scanH = h.m.c.NewHandle()
-	}
-	return h.scanH
-}
-
-// muxRangeHandle adds weak scans over the handle's dedicated scan
-// connection.
-type muxRangeHandle struct{ *muxHandle }
-
-// Range calls fn for each pair with lo <= key <= hi in ascending key
-// order, with whatever atomicity the hosted structure's Range has.
-func (h *muxRangeHandle) Range(lo, hi uint64, fn func(k, v uint64) bool) {
-	h.scanHandle().(dict.Ranger).Range(lo, hi, fn)
-}
-
-// muxSnapHandle adds linearizable scans.
-type muxSnapHandle struct{ muxRangeHandle }
-
-// RangeSnapshot calls fn for each pair of one atomic snapshot of
-// [lo, hi] (the hosted structure's RangeSnapshot).
-func (h *muxSnapHandle) RangeSnapshot(lo, hi uint64, fn func(k, v uint64) bool) {
-	h.scanHandle().(dict.SnapshotRanger).RangeSnapshot(lo, hi, fn)
+	return m.c.wrap(m.c.newHandle(m.conns[int(i-1)%len(m.conns)]))
 }

@@ -1,36 +1,35 @@
 package client
 
-// Fault tolerance: reconnect + retry policy for handles.
+// Fault tolerance: the retry and ambiguity rules, for every handle.
 //
-// Every handle owns one TCP connection. When an operation hits a
-// transport failure (dial refused, read/write error, torn frame,
-// protocol mismatch, server BUSY rejection) the handle marks itself
-// broken; the next attempt redials with capped exponential backoff plus
-// jitter and replays the request. What may be replayed is governed by
-// the ambiguity contract:
+// When a connection fails (dial refused, read/write error, torn frame,
+// protocol mismatch, BUSY admission rejection), the conn completes
+// every op on it with the cause and a note of whether the op's bytes
+// may have reached the server; the next writer redials. The owner of
+// each op then decides, in handle.do:
 //
-//   - Idempotent operations — GET, MGET, STATS, METRICS, scans — retry
-//     transparently across reconnects. Re-executing them cannot change
-//     the structure, so the recorded history stays linearizable.
-//   - OPEN retries too: re-opening the same registry structure twice in
-//     a row is equivalent to opening it once (both yield a fresh
-//     instance for the same <name, keyRange>).
-//   - Mutations (PUT/DELETE and their batch forms) retry only while the
-//     request frame provably never left the client: a failure before any
-//     frame byte reached the kernel (checked against bufio's unflushed
-//     count), or a server BUSY rejection (the server answers BUSY at
-//     accept time and reads nothing, so nothing was executed). Once a
-//     frame may have been received, a blind replay could apply the
-//     mutation twice — the op fails with ErrAmbiguous instead, and the
-//     caller (or the linearizability recorder, via Maybe ops) owns the
-//     uncertainty.
+//   - Bytes that never left the client are replayed: a failure before
+//     any frame byte reached the kernel (checked against bufio's
+//     unflushed count), or an op still queued behind the failure.
+//   - Idempotent operations — GET, MGET, scans, STATS, METRICS, OPEN,
+//     PROMOTE — are replayed across reconnects. Re-executing them
+//     cannot change the structure (re-opening the same <name, keyRange>
+//     converges on the same fresh instance; promotion is a CAS).
+//   - BUSY replays everything: an admission BUSY arrives before the
+//     server reads anything, and a rate-limit BUSY rejects its frame
+//     unexecuted.
+//   - Any other mutation (PUT/DELETE and their batch forms) that may
+//     have reached the server fails with ErrAmbiguous: a blind replay
+//     could apply it twice, so the caller (or the linearizability
+//     recorder, via Maybe ops) owns the uncertainty.
 //
-// The dict.Handle methods still panic when retries are exhausted or an
-// ambiguous mutation surfaces (the interfaces have no error results);
-// the Try* methods expose the same operations with errors for callers
-// that drive chaos drills.
+// Replays back off with capped exponential backoff plus jitter. The
+// dict.Handle methods panic when retries are exhausted or an ambiguous
+// mutation surfaces (the interfaces have no error results); the Try*
+// methods expose the same operations with errors for chaos drills.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -50,9 +49,9 @@ var ErrAmbiguous = errors.New("mutation outcome ambiguous: request may have reac
 // errClientClosed terminates retry loops immediately (Close raced an op).
 var errClientClosed = errors.New("client is closed")
 
-// errBusy marks a server admission-control rejection; always safe to
-// retry (the rejecting server reads nothing before answering BUSY).
-var errBusy = errors.New("server busy: connection rejected at admission")
+// errBusy marks a server BUSY rejection; always safe to retry (the
+// rejecting server executed nothing).
+var errBusy = errors.New("server busy: request rejected unexecuted")
 
 // ErrReadOnly matches (via errors.Is) the application error a follower
 // replica returns for client mutations. The cluster router treats it as
@@ -111,7 +110,7 @@ type FaultStats struct {
 	Redials   uint64 // successful reconnects
 	Retries   uint64 // operations replayed after a transport failure
 	Ambiguous uint64 // mutations failed with ErrAmbiguous
-	Busy      uint64 // server BUSY admission rejections absorbed
+	Busy      uint64 // server BUSY rejections absorbed
 }
 
 // faultCounters is the atomic backing store (fast path never touches it).
@@ -132,9 +131,9 @@ func (c *Client) FaultStats() FaultStats {
 	}
 }
 
-// dial opens one TCP connection to the server under the configured
-// timeout and registers it for Close.
-func (c *Client) dial() (net.Conn, error) {
+// dial opens one TCP connection under the configured timeout and
+// registers it for Close.
+func (c *Client) dial() (*wireConn, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -147,39 +146,15 @@ func (c *Client) dial() (net.Conn, error) {
 	}
 	c.conns[nc] = struct{}{}
 	c.mu.Unlock()
-	return nc, nil
+	return &wireConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10)}, nil
 }
 
-// forget unregisters a connection the handle has abandoned.
+// forget unregisters and closes a connection that failed.
 func (c *Client) forget(nc net.Conn) {
 	c.mu.Lock()
 	delete(c.conns, nc)
 	c.mu.Unlock()
 	nc.Close()
-}
-
-// redial replaces the handle's dead connection with a fresh one,
-// resetting the buffered reader/writer in place (no allocation).
-func (h *handle) redial() error {
-	if h.c == nil {
-		// Handle without a Client (not reachable in practice); the old
-		// panic-on-first-failure behaviour applies.
-		return fmt.Errorf("connection broken and handle has no client to redial")
-	}
-	if h.nc != nil {
-		h.c.forget(h.nc)
-		h.nc = nil
-	}
-	nc, err := h.c.dial()
-	if err != nil {
-		return err
-	}
-	h.nc = nc
-	h.br.Reset(nc)
-	h.bw.Reset(nc)
-	h.broken = false
-	h.c.faults.redials.Add(1)
-	return nil
 }
 
 // backoff sleeps for the attempt'th capped exponential backoff with
@@ -197,60 +172,65 @@ func (h *handle) backoff(attempt int) {
 	h.c.faults.retries.Add(1)
 }
 
-// retryBudget returns how many retries this handle's client allows.
-func (h *handle) retryBudget() int {
-	if h.c == nil {
-		return 0
+// isMutation reports whether a request changes the structure; every
+// other request (GET, MGET, scans, STATS, METRICS, OPEN, PROMOTE, trace
+// dumps) is safe to re-execute.
+func isMutation(req byte) bool {
+	switch req {
+	case wire.OpPut, wire.OpDelete, wire.OpMPut, wire.OpMDelete:
+		return true
 	}
-	return h.c.cfg.RetryAttempts
+	return false
 }
 
-// prepare readies the handle for an attempt: if the connection is known
-// broken, redial (terminal on a closed client).
-func (h *handle) prepare() error {
-	if !h.broken {
-		return nil
-	}
-	return h.redial()
+// isApp reports an application-level failure (respError).
+func isApp(err error) bool {
+	_, ok := err.(respError)
+	return ok
 }
 
-// retryIdempotent runs one idempotent operation attempt under the retry
-// policy: transport failures mark the connection broken and replay after
-// backoff; application-level respErrors and client closure are terminal.
-// Only for ops safe to re-execute (reads, STATS/METRICS, scans, OPEN) —
-// the allocation-gated point/batch paths hand-roll this loop instead
-// (the closure would cost an allocation per op).
-func (h *handle) retryIdempotent(attemptFn func() error) error {
+// do runs one logical operation — a point op, a scan, a control
+// request, or the chunks of a batch — on the handle's conn under the
+// retry policy, the one place the rules above are decided. Ops that
+// completed stay done; failed ones are classified:
+//
+//   - an application error (RespError) or a closed client is final;
+//   - a mutation whose bytes may have reached the server, for any cause
+//     but BUSY, fails the whole operation with ErrAmbiguous;
+//   - anything else (reads, bytes that never left the client, BUSY) is
+//     replayed after backoff, up to Config.RetryAttempts times.
+func (h *handle) do(ops []*op) error {
+	for _, o := range ops {
+		o.done = false
+	}
 	for attempt := 0; ; attempt++ {
-		err := h.prepare()
-		if err == nil {
-			err = attemptFn()
-			if err == nil {
-				return nil
+		h.e.exec(&h.w, ops)
+		var retry error
+		for _, o := range ops {
+			switch err := o.err; {
+			case err == nil:
+				continue
+			case isApp(err), err == errClientClosed:
+				return err
+			case isMutation(o.req) && o.sent && err != errBusy:
+				h.c.faults.ambiguous.Add(1)
+				return fmt.Errorf("%w (op %#x: %v)", ErrAmbiguous, o.req, err)
 			}
-			if _, isApp := err.(respError); isApp {
-				return err // healthy connection, executed exactly once
-			}
-			h.broken = true
-			if errors.Is(err, errBusy) && h.c != nil {
-				h.c.faults.busy.Add(1)
-			}
+			retry = o.err
 		}
-		if errors.Is(err, errClientClosed) || attempt >= h.retryBudget() {
-			return err
+		if retry == nil {
+			return nil
+		}
+		if attempt >= h.c.cfg.RetryAttempts {
+			return retry
+		}
+		for _, o := range ops {
+			if o.err != nil {
+				o.done = false
+			}
 		}
 		h.backoff(attempt)
 	}
-}
-
-// failAmbiguous marks the connection broken and wraps the cause in
-// ErrAmbiguous.
-func (h *handle) failAmbiguous(op byte, cause error) error {
-	h.broken = true
-	if h.c != nil {
-		h.c.faults.ambiguous.Add(1)
-	}
-	return fmt.Errorf("%w (op %#x: %v)", ErrAmbiguous, op, cause)
 }
 
 // --- error-aware operation surface -----------------------------------
@@ -266,44 +246,18 @@ type TryHandle interface {
 }
 
 // TryFind is Find with an error result instead of a panic.
-func (h *handle) TryFind(key uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	v, ok, err := h.rpcPoint(wire.OpGet, key, 0, tid)
-	if err != nil {
-		return 0, false, err
-	}
-	h.observe(copGet, t0)
-	h.traceSpan(tid, wire.OpGet, t0)
-	return v, ok, nil
-}
+func (h *handle) TryFind(key uint64) (uint64, bool, error) { return h.point(wire.OpGet, key, 0) }
 
 // TryInsert is Insert with an error result; ErrAmbiguous means the
 // insert may or may not have been applied.
 func (h *handle) TryInsert(key, val uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	v, ok, err := h.rpcPoint(wire.OpPut, key, val, tid)
-	if err != nil {
-		return 0, false, err
-	}
-	h.observe(copPut, t0)
-	h.traceSpan(tid, wire.OpPut, t0)
-	return v, ok, nil
+	return h.point(wire.OpPut, key, val)
 }
 
 // TryDelete is Delete with an error result; ErrAmbiguous means the
 // delete may or may not have been applied.
 func (h *handle) TryDelete(key uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	v, ok, err := h.rpcPoint(wire.OpDelete, key, 0, tid)
-	if err != nil {
-		return 0, false, err
-	}
-	h.observe(copDelete, t0)
-	h.traceSpan(tid, wire.OpDelete, t0)
-	return v, ok, nil
+	return h.point(wire.OpDelete, key, 0)
 }
 
 // newRetryRNG builds a handle's jitter stream.

@@ -5,7 +5,6 @@ package client
 // server's collector for abtree-top and the end-to-end trace tests.
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/trace"
@@ -18,7 +17,7 @@ import (
 // the 1-in-TraceEvery draw. 0 allocs.
 func (h *handle) maybeTrace() uint64 {
 	c := h.c
-	if c == nil || c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
+	if c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
 		return 0
 	}
 	h.traceN++
@@ -33,7 +32,7 @@ func (h *handle) maybeTrace() uint64 {
 // RPC, issue to response decode (retries included), plus a tail-sample
 // offer so slow round trips are retained locally too. 0 allocs.
 func (h *handle) traceSpan(tid uint64, op byte, t0 time.Time) {
-	if tid == 0 || h.c == nil {
+	if tid == 0 {
 		return
 	}
 	d := time.Since(t0)
@@ -67,44 +66,18 @@ type ServerTrace struct {
 // connection: up to max traces (0 = server default), tail-sampled slow
 // traces first.
 func (c *Client) ServerTraces(max int) ([]ServerTrace, error) {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return nil, err
-	}
-	return h.rpcTraces(max)
-}
-
-func (h *handle) rpcTraces(max int) ([]ServerTrace, error) {
 	if max < 0 {
 		max = 0
 	}
+	// The dump drains the server, so a retried dump keeps what an
+	// interrupted attempt already received.
 	var out []ServerTrace
-	err := h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendTraceDump(h.out[:0], id, uint32(max))
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		out = out[:0]
-		var tf wire.TraceFrame
-		for {
-			rid, rop, payload, err := h.readFrame()
-			if err != nil {
-				return err
-			}
-			if rop == wire.RespBusy {
-				return errBusy
-			}
-			if rop == wire.RespError {
-				return respError(payload)
-			}
-			if rid != id || rop != wire.RespTrace {
-				return fmt.Errorf("trace response mismatch: got id=%d op=%#x, want id=%d op=%#x", rid, rop, id, wire.RespTrace)
-			}
-			if err := wire.DecodeTrace(payload, &tf); err != nil {
-				return err
+	var tf wire.TraceFrame
+	err := c.control(&op{req: wire.OpTraceDump,
+		encode: func(b []byte, id uint64) []byte { return wire.AppendTraceDump(b, id, uint32(max)) },
+		decode: func(p []byte) (bool, error) {
+			if err := wire.DecodeTrace(p, &tf); err != nil {
+				return false, err
 			}
 			// The empty dump's terminator frame (trace id 0) is protocol,
 			// not data.
@@ -123,11 +96,8 @@ func (h *handle) rpcTraces(max int) ([]ServerTrace, error) {
 				}
 				out = append(out, st)
 			}
-			if tf.Last {
-				return nil
-			}
-		}
-	})
+			return tf.Last, nil
+		}})
 	if err != nil {
 		return nil, err
 	}

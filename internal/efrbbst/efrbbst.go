@@ -149,14 +149,21 @@ func (t *Tree) Insert(key, val uint64) (uint64, bool) {
 			continue
 		}
 		nl := leafNode(key, val)
+		// The replaced leaf goes under nn as a fresh copy, never as r.l
+		// itself (EFRB's newSibling). A delayed helper of this insert may
+		// still run casChild(p, r.l, nn) after nn has been spliced out
+		// again; with r.l reused, that CAS would succeed and re-link a
+		// removed, marked node. With a copy, r.l never reappears in the
+		// tree, so every stale CAS against it fails.
+		sib := leafNode(r.l.key, r.l.val)
 		var nn *node
 		if key < r.l.key {
 			nn = internal(r.l.key)
 			nn.left.Store(nl)
-			nn.right.Store(r.l)
+			nn.right.Store(sib)
 		} else {
 			nn = internal(key)
-			nn.left.Store(r.l)
+			nn.left.Store(sib)
 			nn.right.Store(nl)
 		}
 		op := &iInfo{p: r.p, nn: nn, l: r.l}
