@@ -179,3 +179,49 @@ func TestDescendingAndAlternatingInserts(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", got, n/2)
 	}
 }
+
+// TestRotationSwingsParentLast pins the store order inside rotations. The
+// node a rotation promotes only grows its key range, so it takes no
+// version change and a lock-free reader may pass through it at any
+// instant. The parent's child pointer must therefore swing to the
+// promoted node only once the promoted node's children are final;
+// swinging it first let a reader route a key into a subtree that no
+// longer covered it, so finds missed present keys and inserts attached
+// new nodes out of order (Validate's "node K outside key range" under
+// concurrent load). Each insert order below triggers one of the four
+// rotations; at the swing every present key must still be reachable by a
+// reader's descent, which may stop to wait at a shrinking node.
+func TestRotationSwingsParentLast(t *testing.T) {
+	defer func(h func()) { rotationHook = h }(rotationHook)
+	reachable := func(tr *Tree, k uint64) bool {
+		for n := tr.rootHolder.right.Load(); n != nil; n = n.childFor(k) {
+			if n.ovl.Load()&ovlShrinking != 0 || n.key == k {
+				return true
+			}
+		}
+		return false
+	}
+	for _, order := range [][]uint64{{1, 2, 3}, {3, 2, 1}, {3, 1, 2}, {1, 3, 2}} {
+		tr := New()
+		var present []uint64
+		rotations := 0
+		rotationHook = func() {
+			rotations++
+			for _, k := range present {
+				if !reachable(tr, k) {
+					t.Errorf("insert order %v: key %d unreachable at the rotation's parent swing", order, k)
+				}
+			}
+		}
+		for _, k := range order {
+			present = append(present, k)
+			tr.Insert(k, k)
+		}
+		if rotations != 1 {
+			t.Fatalf("insert order %v: %d rotations, want 1", order, rotations)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

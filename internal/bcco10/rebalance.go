@@ -8,6 +8,10 @@
 // promoted child (plus the grandchild for double rotations), all
 // acquired in root-to-leaf order, and wrap the key-range-shrinking nodes
 // in a shrink version change so optimistic searches wait and retry.
+// The promoted node only grows and keeps its version, so readers may be
+// inside it at any moment: every rotation rewires the promoted node's
+// children first and swings the parent's pointer to it last, never
+// publishing a promoted node whose children still cover its old range.
 // Routing nodes that drop to one child are spliced out here too.
 package bcco10
 
@@ -139,6 +143,12 @@ func (t *Tree) rebalanceAt(parent, n *node) {
 	}
 }
 
+// rotationHook runs inside every rotation right after the parent's
+// child pointer swings to the promoted node, with the rotation's locks
+// held. It is a no-op except in tests, which use it to check what a
+// lock-free reader can observe at that instant.
+var rotationHook = func() {}
+
 // beginShrink marks n as shrinking and returns the clean version to
 // advance from. Caller holds n's lock.
 func beginShrink(n *node) int64 {
@@ -167,14 +177,15 @@ func endShrink(n *node, v int64) {
 func (t *Tree) rotateRight(parent, n, l *node) {
 	nv := beginShrink(n)
 	b := l.right.Load()
-	replaceChild(parent, n, l)
-	l.parent.Store(parent)
 	n.left.Store(b)
 	if b != nil {
 		b.parent.Store(n)
 	}
 	l.right.Store(n)
 	n.parent.Store(l)
+	replaceChild(parent, n, l)
+	rotationHook()
+	l.parent.Store(parent)
 	n.height.Store(1 + maxi32(height(b), height(n.right.Load())))
 	l.height.Store(1 + maxi32(height(l.left.Load()), n.height.Load()))
 	endShrink(n, nv)
@@ -184,14 +195,15 @@ func (t *Tree) rotateRight(parent, n, l *node) {
 func (t *Tree) rotateLeft(parent, n, r *node) {
 	nv := beginShrink(n)
 	b := r.left.Load()
-	replaceChild(parent, n, r)
-	r.parent.Store(parent)
 	n.right.Store(b)
 	if b != nil {
 		b.parent.Store(n)
 	}
 	r.left.Store(n)
 	n.parent.Store(r)
+	replaceChild(parent, n, r)
+	rotationHook()
+	r.parent.Store(parent)
 	n.height.Store(1 + maxi32(height(n.left.Load()), height(b)))
 	r.height.Store(1 + maxi32(n.height.Load(), height(r.right.Load())))
 	endShrink(n, nv)
@@ -214,8 +226,6 @@ func (t *Tree) rotateRightOverLeft(parent, n, l, lr *node) {
 	nv := beginShrink(n)
 	lv := beginShrink(l)
 	b, c := lr.left.Load(), lr.right.Load()
-	replaceChild(parent, n, lr)
-	lr.parent.Store(parent)
 	n.left.Store(c)
 	if c != nil {
 		c.parent.Store(n)
@@ -228,6 +238,9 @@ func (t *Tree) rotateRightOverLeft(parent, n, l, lr *node) {
 	l.parent.Store(lr)
 	lr.right.Store(n)
 	n.parent.Store(lr)
+	replaceChild(parent, n, lr)
+	rotationHook()
+	lr.parent.Store(parent)
 	l.height.Store(1 + maxi32(height(l.left.Load()), height(b)))
 	n.height.Store(1 + maxi32(height(c), height(n.right.Load())))
 	lr.height.Store(1 + maxi32(l.height.Load(), n.height.Load()))
@@ -240,8 +253,6 @@ func (t *Tree) rotateLeftOverRight(parent, n, r, rl *node) {
 	nv := beginShrink(n)
 	rv := beginShrink(r)
 	b, c := rl.left.Load(), rl.right.Load()
-	replaceChild(parent, n, rl)
-	rl.parent.Store(parent)
 	n.right.Store(b)
 	if b != nil {
 		b.parent.Store(n)
@@ -254,6 +265,9 @@ func (t *Tree) rotateLeftOverRight(parent, n, r, rl *node) {
 	r.parent.Store(rl)
 	rl.left.Store(n)
 	n.parent.Store(rl)
+	replaceChild(parent, n, rl)
+	rotationHook()
+	rl.parent.Store(parent)
 	r.height.Store(1 + maxi32(height(c), height(r.right.Load())))
 	n.height.Store(1 + maxi32(height(n.left.Load()), height(b)))
 	rl.height.Store(1 + maxi32(n.height.Load(), r.height.Load()))

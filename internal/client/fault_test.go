@@ -325,8 +325,9 @@ func TestMuxMutationAmbiguity(t *testing.T) {
 	if !errors.Is(err, client.ErrAmbiguous) {
 		t.Fatalf("mux TryInsert on a swallowed frame: %v, want ErrAmbiguous", err)
 	}
-	// The supervisor redials (conn 3, passed through); the same handle
-	// keeps working, and GETs were never at ambiguity risk.
+	// The next writer on the shared conn redials (conn 3, passed
+	// through); the same handle keeps working, and GETs were never at
+	// ambiguity risk.
 	if _, _, err := h.TryFind(700); err != nil {
 		t.Fatalf("mux TryFind after ambiguous mutation: %v", err)
 	}

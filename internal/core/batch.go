@@ -116,9 +116,10 @@ func (th *Thread) DeleteBatch(keys []uint64, prev []uint64, deleted []bool) {
 func (th *Thread) runSubtree(op batchOp, n *node, run []batchEnt, vals, res []uint64, ok []bool) {
 	for {
 		if n.isLeaf() {
-			th.applyLeafRun(op, n, run, vals, res, ok)
+			th.applyLeafRun(op, n.leaf(), run, vals, res, ok)
 			return
 		}
+		in := n.inner()
 		rk := n.routingKeys()
 		i := 0
 		for c := 0; c <= rk && i < len(run); c++ {
@@ -133,7 +134,7 @@ func (th *Thread) runSubtree(op batchOp, n *node, run []batchEnt, vals, res []ui
 			if end == i {
 				continue // no keys for this child: skip its pointer load
 			}
-			child := n.ptrs[c].Load()
+			child := in.ptrs[c].Load()
 			if i == 0 && end == len(run) {
 				n = child // whole run funnels into one child
 				break
@@ -153,10 +154,10 @@ func (th *Thread) runSubtree(op batchOp, n *node, run []batchEnt, vals, res []ui
 // whole run elsewhere), or an insert found it full (consumed keys are
 // done; run[consumed] needs the splitting insert). After unlocking it
 // triggers the underfull repair exactly like the per-key delete path.
-func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, res []uint64, ok []bool) (consumed int, marked, full bool) {
+func (th *Thread) applyRunLocked(op batchOp, leaf *leafNode, run []batchEnt, vals, res []uint64, ok []bool) (consumed int, marked, full bool) {
 	t := th.t
-	th.lockNode(leaf)
-	if leaf.marked.Load() {
+	th.lockNode(&leaf.node)
+	if leaf.marked() {
 		th.unlockAll()
 		return 0, true, false
 	}
@@ -184,10 +185,10 @@ func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, r
 		}
 		i++
 	}
-	newSize := leaf.size.Load()
+	newSize := leaf.size()
 	th.unlockAll()
 	if op == bDelete && int(newSize) < t.a {
-		th.fixUnderfull(leaf)
+		th.fixUnderfull(&leaf.node)
 	}
 	return i, false, full
 }
@@ -196,7 +197,7 @@ func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, r
 // double collect, updates through applyRunLocked. Runs the slow runner
 // for whatever remainder the leaf could not serve (unlinked leaf, or a
 // full leaf needing a splitting insert).
-func (th *Thread) applyLeafRun(op batchOp, leaf *node, run []batchEnt, vals, res []uint64, ok []bool) {
+func (th *Thread) applyLeafRun(op batchOp, leaf *leafNode, run []batchEnt, vals, res []uint64, ok []bool) {
 	if op == bFind {
 		if !th.t.collectBatchFinds(leaf, run, res, ok) {
 			th.runSlow(op, run, vals, res, ok)
@@ -249,7 +250,7 @@ func (th *Thread) runSlow(op batchOp, ents []batchEnt, vals, res []uint64, ok []
 // double collect of the leaf. ok is false if the leaf has been unlinked
 // (the descent may have read a pointer to it before the unlink, so the
 // frozen contents cannot be served — same rule as snapshotLeaf).
-func (t *Tree) collectBatchFinds(l *node, run []batchEnt, vals []uint64, found []bool) bool {
+func (t *Tree) collectBatchFinds(l *leafNode, run []batchEnt, vals []uint64, found []bool) bool {
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -257,7 +258,7 @@ func (t *Tree) collectBatchFinds(l *node, run []batchEnt, vals []uint64, found [
 			spinPause(&spins)
 			continue
 		}
-		if l.marked.Load() {
+		if l.marked() {
 			return false
 		}
 		for _, e := range run {

@@ -17,8 +17,8 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 
 	// The publisher: manually perform the first half of insert(7, 42).
 	pub := tr.NewThread()
-	leaf := tr.search(7, nil).n
-	pub.lockNode(leaf)
+	leaf := tr.search(7, nil).n.leaf()
+	pub.lockNode(&leaf.node)
 	ver := leaf.ver.Add(1) // odd: modification in progress
 	leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver})
 
@@ -43,7 +43,7 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 	// even (the linearization point), unlock.
 	leaf.vals[0].Store(42)
 	leaf.keys[0].Store(7)
-	leaf.size.Add(1)
+	leaf.addSize(1)
 	leaf.ver.Add(1)
 	pub.unlockAll()
 
@@ -113,8 +113,8 @@ func b2u(b bool) uint64 {
 func TestFindEliminationDeterministic(t *testing.T) {
 	tr := New(WithElimination(), WithFindElimination())
 	pub := tr.NewThread()
-	leaf := tr.search(7, nil).n
-	pub.lockNode(leaf)
+	leaf := tr.search(7, nil).n.leaf()
+	pub.lockNode(&leaf.node)
 	ver := leaf.ver.Add(1) // leaf stays "mid-update": scans never consistent
 	leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver, Kind: RecInsert})
 
@@ -135,7 +135,7 @@ func TestFindEliminationDeterministic(t *testing.T) {
 	// modification, so scans stay interrupted; the record must answer.
 	leaf.vals[0].Store(42)
 	leaf.keys[0].Store(7)
-	leaf.size.Add(1)
+	leaf.addSize(1)
 	leaf.ver.Add(1) // even: linearized
 	got := <-res
 	if got[0] != 42 || got[1] != 1 {
@@ -156,8 +156,8 @@ func TestFindEliminationDeleteRecord(t *testing.T) {
 	tr := New(WithElimination(), WithFindElimination())
 	pub := tr.NewThread()
 	pub.Insert(7, 1)
-	leaf := tr.search(7, nil).n
-	pub.lockNode(leaf)
+	leaf := tr.search(7, nil).n.leaf()
+	pub.lockNode(&leaf.node)
 	ver := leaf.ver.Add(1)
 	leaf.rec.Store(&ElimRecord{Key: 7, Val: 1, Ver: ver, Kind: RecDelete})
 
@@ -171,7 +171,7 @@ func TestFindEliminationDeleteRecord(t *testing.T) {
 	for i := 0; i < tr.b; i++ {
 		if leaf.keys[i].Load() == 7 {
 			leaf.keys[i].Store(emptyKey)
-			leaf.size.Add(-1)
+			leaf.addSize(-1)
 			break
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // This file contains quiescent inspection utilities: they traverse the
@@ -13,12 +14,12 @@ import (
 // Scan calls fn for every key-value pair, in ascending key order. It must
 // only be called while the tree is quiescent.
 func (t *Tree) Scan(fn func(k, v uint64)) {
-	t.scan(t.entry.ptrs[0].Load(), fn)
+	t.scan(t.root(), fn)
 }
 
 func (t *Tree) scan(n *node, fn func(k, v uint64)) {
 	if n.isLeaf() {
-		items := gatherLeaf(t, n)
+		items := gatherLeaf(t, n.leaf())
 		sortKVs(items)
 		for _, it := range items {
 			fn(it.k, it.v)
@@ -26,7 +27,7 @@ func (t *Tree) scan(n *node, fn func(k, v uint64)) {
 		return
 	}
 	for i := 0; i < int(n.nchildren); i++ {
-		t.scan(n.ptrs[i].Load(), fn)
+		t.scan(n.inner().ptrs[i].Load(), fn)
 	}
 }
 
@@ -51,7 +52,7 @@ func (t *Tree) KeySum() uint64 {
 // only). An empty tree (a single leaf root) has height 1.
 func (t *Tree) Height() int {
 	h := 0
-	for n := t.entry.ptrs[0].Load(); ; n = n.ptrs[0].Load() {
+	for n := t.root(); ; n = n.inner().ptrs[0].Load() {
 		h++
 		if n.isLeaf() {
 			return h
@@ -67,7 +68,23 @@ type Stats struct {
 	Tagged      int
 	Height      int
 	AvgLeafFill float64 // mean keys per leaf / b
+
+	// LeafBytes and InternalBytes are the heap the reachable nodes
+	// occupy: their blocks (each layout fills its Go size class exactly)
+	// plus, for leaves, the published elimination records they hold.
+	// Tagged nodes count as internal. Preserved range-query versions and
+	// the ablations' option state are not counted.
+	LeafBytes     int64
+	InternalBytes int64
 }
+
+// Heap bytes of one leaf block, one internal block and one elimination
+// record; TestNodeLayoutSizes pins each to the block Go allocates.
+const (
+	leafBlock   = int64(unsafe.Sizeof(leafNode{}))
+	innerBlock  = int64(unsafe.Sizeof(innerNode{}))
+	recordBlock = int64(unsafe.Sizeof(ElimRecord{}))
+)
 
 // Stats collects shape statistics (quiescent only).
 func (t *Tree) Stats() Stats {
@@ -76,8 +93,13 @@ func (t *Tree) Stats() Stats {
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n.isLeaf() {
+			l := n.leaf()
 			s.Leaves++
-			s.Keys += int(n.size.Load())
+			s.Keys += int(l.size())
+			s.LeafBytes += leafBlock
+			if l.rec.Load() != nil {
+				s.LeafBytes += recordBlock
+			}
 			return
 		}
 		if n.tagged() {
@@ -85,11 +107,12 @@ func (t *Tree) Stats() Stats {
 		} else {
 			s.Internal++
 		}
+		s.InternalBytes += innerBlock
 		for i := 0; i < int(n.nchildren); i++ {
-			walk(n.ptrs[i].Load())
+			walk(n.inner().ptrs[i].Load())
 		}
 	}
-	walk(t.entry.ptrs[0].Load())
+	walk(t.root())
 	if s.Leaves > 0 {
 		s.AvgLeafFill = float64(s.Keys) / float64(s.Leaves*t.b)
 	}
@@ -108,7 +131,7 @@ func (t *Tree) Stats() Stats {
 //  4. non-root nodes have between a and b entries;
 //  5. all leaves are at the same depth.
 func (t *Tree) Validate() error {
-	root := t.entry.ptrs[0].Load()
+	root := t.root()
 	leafDepth := -1
 	seen := make(map[uint64]bool)
 	var walk func(n *node, lo, hi uint64, depth int, isRoot bool) error
@@ -116,7 +139,7 @@ func (t *Tree) Validate() error {
 		if n == nil {
 			return errors.New("nil child pointer")
 		}
-		if n.marked.Load() {
+		if n.marked() {
 			return fmt.Errorf("reachable node at depth %d is marked", depth)
 		}
 		if n.tagged() {
@@ -143,8 +166,8 @@ func (t *Tree) Validate() error {
 				}
 				seen[k] = true
 			}
-			if int64(count) != n.size.Load() {
-				return fmt.Errorf("leaf size %d but %d non-empty keys", n.size.Load(), count)
+			if sz := n.leaf().size(); int64(count) != sz {
+				return fmt.Errorf("leaf size %d but %d non-empty keys", sz, count)
 			}
 			if !isRoot && (count < t.a || count > t.b) {
 				return fmt.Errorf("leaf size %d outside [%d, %d]", count, t.a, t.b)
@@ -175,7 +198,7 @@ func (t *Tree) Validate() error {
 			if i < nc-1 {
 				childHi = n.keys[i].Load()
 			}
-			if err := walk(n.ptrs[i].Load(), childLo, childHi, depth+1, false); err != nil {
+			if err := walk(n.inner().ptrs[i].Load(), childLo, childHi, depth+1, false); err != nil {
 				return err
 			}
 			childLo = childHi

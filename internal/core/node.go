@@ -21,6 +21,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/cohortlock"
 	"repro/internal/mcslock"
@@ -71,11 +72,29 @@ type ElimRecord struct {
 	Ver uint64
 }
 
-// node is a tree node. One struct serves leaves, internal nodes and tagged
-// internal nodes (discriminated by kind): unifying them keeps search,
-// fixTagged and fixUnderfull free of type switches on a hot path, at the
-// cost of each node carrying one unused array (vals for internals, ptrs for
-// leaves).
+// A tree node is one of two layouts, chosen by kind when newLeaf or
+// newInternal allocates it:
+//
+//   - leafNode: the shared header, then the leaf-only state — version,
+//     elimination record, range-query stamp and chain — then vals.
+//   - innerNode: the shared header, then ptrs. Internal and tagged
+//     internal nodes use it.
+//
+// Tree links and the header-level code (search, locking, marking,
+// fixTagged and fixUnderfull) hold a *node, the header. Each layout
+// embeds the header first, so a *node is also the address of the
+// layout it was allocated as: n.leaf() and n.inner() convert it back,
+// and are only valid for that kind (checkptr, enabled by -race, rejects
+// a conversion to a layout larger than the allocation). Code that works
+// on one kind converts once and keeps the typed pointer.
+//
+// Fields are ordered hot-first, so a visit during a descent touches as
+// few cache lines as possible: kind and nchildren lead the header and
+// keys close it, directly followed by ptrs (internal) or by ver and the
+// rest of the per-update leaf state, then vals (leaf). State only some
+// options use lives behind one lazily allocated pointer (nodeOpts).
+// Each layout is sized to fill its Go size class exactly (see
+// TestNodeLayoutSizes): 320 B per leaf, 288 B per internal node.
 //
 // Mutability discipline:
 //   - leaf keys/vals/size/ver/rec: mutated only while the leaf's lock is
@@ -88,21 +107,18 @@ type ElimRecord struct {
 //   - marked: set (once, never cleared) while the node's lock is held,
 //     when the node is unlinked from the tree.
 type node struct {
-	mcs mcslock.Lock
-	tas mcslock.TASLock
-	// cohort is the node's NUMA-aware cohort lock, allocated lazily on
-	// first acquisition (WithCohortLocks only, so the common
-	// configurations don't carry its footprint).
-	cohort atomic.Pointer[cohortlock.Lock]
-	// fcq is the leaf's flat-combining publication list, allocated
-	// lazily on first use (WithLeafCombining only).
-	fcq    atomic.Pointer[fcQueue]
-	marked atomic.Bool
-	kind   kind
+	kind kind
 
 	// nchildren is an internal node's child-pointer count (immutable);
 	// the node has nchildren-1 routing keys in keys[0..nchildren-2].
 	nchildren uint8
+
+	// state packs the marked flag (markedBit) with a leaf's key count
+	// (the low bits), so neither needs a word of its own. Both change
+	// only under the node's lock; searches read them lock-free.
+	state atomic.Uint32
+
+	mcs mcslock.Lock
 
 	// searchKey is an immutable key within this node's key range, used by
 	// fixTagged/fixUnderfull to re-locate the node: the unique search path
@@ -110,13 +126,20 @@ type node struct {
 	// contains it (paper Def. 3.3/3.4), hence through this node.
 	searchKey uint64
 
-	// ver is a leaf's version: even when quiescent, odd while the lock
+	// opts holds state only some options use, allocated on first use.
+	opts atomic.Pointer[nodeOpts]
+
+	keys [maxCap]atomic.Uint64
+}
+
+// leafNode is the leaf layout.
+type leafNode struct {
+	node
+
+	// ver is the leaf's version: even when quiescent, odd while the lock
 	// holder is modifying the leaf. Searches use it for double-collect
 	// validation (§3.2); publishing elimination keys off it (§4.1).
 	ver atomic.Uint64
-
-	// size is a leaf's number of non-empty keys.
-	size atomic.Int64
 
 	// rec is the leaf's elimination record (Elim-ABtree only; nil until
 	// the first publishing update).
@@ -129,13 +152,62 @@ type node struct {
 	rqTS   atomic.Uint64
 	rqVers atomic.Pointer[rq.Version]
 
-	keys [maxCap]atomic.Uint64
 	vals [maxCap]atomic.Uint64
+}
+
+// innerNode is the layout of internal and tagged internal nodes.
+type innerNode struct {
+	node
 	ptrs [maxCap]atomic.Pointer[node]
 }
 
+// nodeOpts is the per-node state of the lock and combining ablations:
+// the TAS lock (WithTASLocks), the NUMA-aware cohort lock
+// (WithCohortLocks) and the leaf's flat-combining publication list
+// (WithLeafCombining). The default configurations never allocate it.
+type nodeOpts struct {
+	tas    mcslock.TASLock
+	cohort cohortlock.Lock
+	fcq    fcQueue
+}
+
+// markedBit is the marked flag in node.state; the bits below it hold a
+// leaf's key count (at most maxCap).
+const markedBit = 1 << 31
+
 func (n *node) isLeaf() bool { return n.kind == leafKind }
 func (n *node) tagged() bool { return n.kind == taggedKind }
+
+// leaf returns the leaf layout of n, which must be a leaf.
+func (n *node) leaf() *leafNode { return (*leafNode)(unsafe.Pointer(n)) }
+
+// inner returns the internal layout of n, which must not be a leaf.
+func (n *node) inner() *innerNode { return (*innerNode)(unsafe.Pointer(n)) }
+
+// marked reports whether n has been unlinked from the tree.
+func (n *node) marked() bool { return n.state.Load()&markedBit != 0 }
+
+// mark flags n as unlinked. The caller holds n's lock, as does every
+// other writer of n.state, so the read-modify-write cannot lose an update.
+func (n *node) mark() { n.state.Store(n.state.Load() | markedBit) }
+
+// optsOf returns n's option state, allocating it on first use.
+func (n *node) optsOf() *nodeOpts {
+	if o := n.opts.Load(); o != nil {
+		return o
+	}
+	n.opts.CompareAndSwap(nil, new(nodeOpts))
+	return n.opts.Load()
+}
+
+// size returns the leaf's number of non-empty keys.
+func (l *leafNode) size() int64 { return int64(l.state.Load() &^ markedBit) }
+
+// addSize adjusts the leaf's key count by delta (the lock holder only)
+// and returns the new count.
+func (l *leafNode) addSize(delta int) int64 {
+	return int64(l.state.Add(uint32(delta)) &^ markedBit)
+}
 
 // routingKeys returns the number of routing keys in an internal node.
 func (n *node) routingKeys() int { return int(n.nchildren) - 1 }
@@ -146,14 +218,14 @@ type kv struct{ k, v uint64 }
 // newLeaf builds a leaf containing items (at most b of them), packed into
 // the first len(items) slots. searchKey must lie within the leaf's key
 // range.
-func newLeaf(items []kv, searchKey uint64) *node {
-	n := &node{kind: leafKind, searchKey: searchKey}
+func newLeaf(items []kv, searchKey uint64) *leafNode {
+	l := &leafNode{node: node{kind: leafKind, searchKey: searchKey}}
 	for i, it := range items {
-		n.keys[i].Store(it.k)
-		n.vals[i].Store(it.v)
+		l.keys[i].Store(it.k)
+		l.vals[i].Store(it.v)
 	}
-	n.size.Store(int64(len(items)))
-	return n
+	l.state.Store(uint32(len(items)))
+	return l
 }
 
 // newInternal builds an internal or tagged node with the given routing keys
@@ -163,21 +235,21 @@ func newInternal(k kind, keys []uint64, children []*node, searchKey uint64) *nod
 	if len(children) != len(keys)+1 {
 		panic("core: internal node children/keys arity mismatch")
 	}
-	n := &node{kind: k, nchildren: uint8(len(children)), searchKey: searchKey}
+	n := &innerNode{node: node{kind: k, nchildren: uint8(len(children)), searchKey: searchKey}}
 	for i, rk := range keys {
 		n.keys[i].Store(rk)
 	}
 	for i, c := range children {
 		n.ptrs[i].Store(c)
 	}
-	return n
+	return &n.node
 }
 
 // sizeOf returns a node's occupancy in the (a,b) sense: key count for a
 // leaf, child count for an internal node.
 func sizeOf(n *node) int {
 	if n.isLeaf() {
-		return int(n.size.Load())
+		return int(n.leaf().size())
 	}
 	return int(n.nchildren)
 }

@@ -11,11 +11,11 @@ func (th *Thread) Find(key uint64) (uint64, bool) {
 	if t.elimFinds {
 		return th.findElim(key)
 	}
-	path := t.search(key, nil)
+	leaf := t.search(key, nil).n.leaf()
 	if t.sorted {
-		return t.leafSearchSorted(path.n, key)
+		return t.leafSearchSorted(leaf, key)
 	}
-	return t.leafSearch(path.n, key)
+	return t.leafSearch(leaf, key)
 }
 
 // Insert inserts <key, val> if key is absent and returns (0, true).
@@ -26,7 +26,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n
+		leaf := path.n.leaf()
 
 		// Pre-lock read phase. The OCC-ABtree retries leafSearch until it
 		// has a consistent snapshot; the Elim-ABtree scans once and, on
@@ -45,7 +45,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			// fcLeafFull: fall through to the classic locked path, which
 			// retries the simple insert under the lock and splits if the
 			// leaf is still full.
-			th.lockNode(leaf)
+			th.lockNode(&leaf.node)
 		} else if t.elim {
 			v, found, consistent := t.leafScanOnce(leaf, key)
 			if consistent && found {
@@ -69,10 +69,10 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			if found {
 				return v, false
 			}
-			th.lockNode(leaf)
+			th.lockNode(&leaf.node)
 		}
 
-		if leaf.marked.Load() {
+		if leaf.marked() {
 			th.unlockAll()
 			continue
 		}
@@ -94,7 +94,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 		// write). Lock the parent too (bottom-to-top order).
 		parent := path.p
 		th.lockNode(parent)
-		if parent.marked.Load() {
+		if parent.marked() {
 			th.unlockAll()
 			continue
 		}
@@ -110,7 +110,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 // insertUnsorted performs the locked phase of a simple insert into an
 // unsorted leaf. done is false when the leaf is full (splitting insert
 // required).
-func (t *Tree) insertUnsorted(leaf *node, key, val uint64) (done bool, old uint64, inserted bool) {
+func (t *Tree) insertUnsorted(leaf *leafNode, key, val uint64) (done bool, old uint64, inserted bool) {
 	// Verify key is not present and find an empty slot, under the lock.
 	emptyIdx := -1
 	dup := -1
@@ -139,7 +139,7 @@ func (t *Tree) insertUnsorted(leaf *node, key, val uint64) (done bool, old uint6
 	}
 	leaf.vals[emptyIdx].Store(val)
 	leaf.keys[emptyIdx].Store(key)
-	leaf.size.Add(1)
+	leaf.addSize(1)
 	leaf.ver.Add(1)
 	return true, 0, true
 }
@@ -147,7 +147,7 @@ func (t *Tree) insertUnsorted(leaf *node, key, val uint64) (done bool, old uint6
 // splitInsert performs the splitting-insert update with leaf and parent
 // locked and unmarked. It returns the created tagged node (nil if the new
 // subtree root is an untagged internal, i.e. the new tree root).
-func (t *Tree) splitInsert(leaf, parent *node, nIdx int, key, val uint64) *node {
+func (t *Tree) splitInsert(leaf *leafNode, parent *node, nIdx int, key, val uint64) *node {
 	items := make([]kv, 0, t.b+1)
 	for i := 0; i < t.b; i++ {
 		if k := leaf.keys[i].Load(); k != emptyKey {
@@ -177,10 +177,10 @@ func (t *Tree) splitInsert(leaf, parent *node, nIdx int, key, val uint64) *node 
 	if parent == t.entry {
 		k = internalKind
 	}
-	nn := newInternal(k, []uint64{sep}, []*node{left, right}, sep)
+	nn := newInternal(k, []uint64{sep}, []*node{&left.node, &right.node}, sep)
 
-	parent.ptrs[nIdx].Store(nn)
-	leaf.marked.Store(true)
+	parent.inner().ptrs[nIdx].Store(nn)
+	leaf.mark()
 	leaf.ver.Add(1)
 	if k == taggedKind {
 		return nn
@@ -195,7 +195,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n
+		leaf := path.n.leaf()
 
 		if t.combining {
 			if _, found := t.leafSearch(leaf, key); !found {
@@ -231,23 +231,23 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			if !found {
 				return 0, false
 			}
-			th.lockNode(leaf)
+			th.lockNode(&leaf.node)
 		}
 
-		if leaf.marked.Load() {
+		if leaf.marked() {
 			th.unlockAll()
 			continue
 		}
 
 		if t.sorted {
 			val, handled := t.deleteSorted(leaf, key)
-			newSize := leaf.size.Load()
+			newSize := leaf.size()
 			th.unlockAll()
 			if !handled {
 				return 0, false
 			}
 			if int(newSize) < t.a {
-				th.fixUnderfull(leaf)
+				th.fixUnderfull(&leaf.node)
 			}
 			return val, true
 		}
@@ -259,7 +259,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			return 0, false
 		}
 		if int(newSize) < t.a {
-			th.fixUnderfull(leaf)
+			th.fixUnderfull(&leaf.node)
 		}
 		return val, true
 	}
@@ -268,7 +268,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 // deleteUnsorted performs the locked phase of a delete from an unsorted
 // leaf: clear the key's slot and publish the elimination record inside
 // one version window. The caller holds the leaf's lock.
-func (t *Tree) deleteUnsorted(leaf *node, key uint64) (val uint64, found bool, newSize int64) {
+func (t *Tree) deleteUnsorted(leaf *leafNode, key uint64) (val uint64, found bool, newSize int64) {
 	idx := -1
 	for i := 0; i < t.b; i++ {
 		if leaf.keys[i].Load() == key {
@@ -277,7 +277,7 @@ func (t *Tree) deleteUnsorted(leaf *node, key uint64) (val uint64, found bool, n
 		}
 	}
 	if idx < 0 {
-		return 0, false, leaf.size.Load()
+		return 0, false, leaf.size()
 	}
 	val = leaf.vals[idx].Load()
 	v := leaf.ver.Add(1) // odd: modification in progress
@@ -286,7 +286,7 @@ func (t *Tree) deleteUnsorted(leaf *node, key uint64) (val uint64, found bool, n
 		leaf.rec.Store(&ElimRecord{Key: key, Val: val, Ver: v, Kind: RecDelete})
 	}
 	leaf.keys[idx].Store(emptyKey)
-	newSize = leaf.size.Add(-1)
+	newSize = leaf.addSize(-1)
 	leaf.ver.Add(1)
 	return val, true, newSize
 }

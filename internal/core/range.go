@@ -70,7 +70,7 @@ func (p *scanPath) invalidate() { p.depth = 0 }
 func (p *scanPath) resumeLevel(key uint64) int {
 	for i := p.depth - 2; i > 0; i-- {
 		l := &p.lvl[i]
-		if key >= l.lo && (!l.hasHi || key < l.hi) && !l.n.marked.Load() {
+		if key >= l.lo && (!l.hasHi || key < l.hi) && !l.n.marked() {
 			return i
 		}
 	}
@@ -82,7 +82,7 @@ func (p *scanPath) resumeLevel(key uint64) int {
 // reports the leaf's key-range upper bound (the smallest routing key
 // greater than the path taken); hasBound is false for the rightmost
 // leaf.
-func (th *Thread) searchScan(key uint64) (leaf *node, bound uint64, hasBound bool) {
+func (th *Thread) searchScan(key uint64) (leaf *leafNode, bound uint64, hasBound bool) {
 	p := &th.path
 	if th.noScanCache {
 		p.invalidate()
@@ -100,7 +100,7 @@ func (th *Thread) searchScan(key uint64) (leaf *node, bound uint64, hasBound boo
 // descendPath finishes a descent from the cached level lvl, recording
 // the levels it visits. A tree deeper than maxScanDepth (unreachable
 // at sane degrees) stops recording and descends uncached.
-func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *node, bound uint64, hasBound bool) {
+func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *leafNode, bound uint64, hasBound bool) {
 	n := p.lvl[lvl].n
 	lo := p.lvl[lvl].lo
 	bound, hasBound = p.lvl[lvl].hi, p.lvl[lvl].hasHi
@@ -117,7 +117,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *node, bound 
 			lo = rkey
 			nIdx++
 		}
-		n = n.ptrs[nIdx].Load()
+		n = n.inner().ptrs[nIdx].Load()
 		if !caching {
 			continue
 		}
@@ -132,7 +132,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *node, bound 
 	if caching {
 		p.depth = lvl + 1
 	}
-	return n, bound, hasBound
+	return n.leaf(), bound, hasBound
 }
 
 // snapshotLeaf appends a consistent copy of the leaf's pairs within
@@ -141,7 +141,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *node, bound 
 // caller must re-descend from the root: a cached path may have led here
 // arbitrarily long after the unlink, so the frozen contents cannot be
 // served.
-func (t *Tree) snapshotLeaf(buf []kv, l *node, lo, hi uint64) (items []kv, ok bool) {
+func (t *Tree) snapshotLeaf(buf []kv, l *leafNode, lo, hi uint64) (items []kv, ok bool) {
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -149,7 +149,7 @@ func (t *Tree) snapshotLeaf(buf []kv, l *node, lo, hi uint64) (items []kv, ok bo
 			spinPause(&spins)
 			continue
 		}
-		if l.marked.Load() {
+		if l.marked() {
 			return buf, false
 		}
 		items = buf

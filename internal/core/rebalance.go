@@ -7,7 +7,7 @@ package core
 func (th *Thread) fixTagged(n *node) {
 	t := th.t
 	for {
-		if n.marked.Load() {
+		if n.marked() {
 			return
 		}
 		path := t.search(n.searchKey, n)
@@ -26,7 +26,7 @@ func (th *Thread) fixTagged(n *node) {
 		th.lockNode(n)
 		th.lockNode(p)
 		th.lockNode(gp)
-		if n.marked.Load() || p.marked.Load() || gp.marked.Load() || p.tagged() {
+		if n.marked() || p.marked() || gp.marked() || p.tagged() {
 			th.unlockAll()
 			continue
 		}
@@ -39,9 +39,9 @@ func (th *Thread) fixTagged(n *node) {
 		keys := make([]uint64, 0, pc)
 		for i := 0; i < pc; i++ {
 			if i == nIdx {
-				children = append(children, n.ptrs[0].Load(), n.ptrs[1].Load())
+				children = append(children, n.inner().ptrs[0].Load(), n.inner().ptrs[1].Load())
 			} else {
-				children = append(children, p.ptrs[i].Load())
+				children = append(children, p.inner().ptrs[i].Load())
 			}
 		}
 		for i := 0; i < nIdx; i++ {
@@ -55,9 +55,9 @@ func (th *Thread) fixTagged(n *node) {
 		if len(children) <= t.b {
 			// Merge case (Figure 3(5)): one new internal replaces p.
 			nn := newInternal(internalKind, keys, children, p.searchKey)
-			gp.ptrs[pIdx].Store(nn)
-			n.marked.Store(true)
-			p.marked.Store(true)
+			gp.inner().ptrs[pIdx].Store(nn)
+			n.mark()
+			p.mark()
 			th.unlockAll()
 			return
 		}
@@ -75,9 +75,9 @@ func (th *Thread) fixTagged(n *node) {
 			topKind = internalKind
 		}
 		top := newInternal(topKind, []uint64{promoted}, []*node{left, right}, p.searchKey)
-		gp.ptrs[pIdx].Store(top)
-		n.marked.Store(true)
-		p.marked.Store(true)
+		gp.inner().ptrs[pIdx].Store(top)
+		n.mark()
+		p.mark()
 		th.unlockAll()
 		if topKind != taggedKind {
 			return
@@ -102,7 +102,7 @@ func (th *Thread) fixTagged(n *node) {
 func (th *Thread) fixUnderfull(n *node) {
 	t := th.t
 	for {
-		if n == t.entry || n == t.entry.ptrs[0].Load() {
+		if n == t.entry || n == t.root() {
 			return // The root may be underfull.
 		}
 		path := t.search(n.searchKey, n)
@@ -125,7 +125,7 @@ func (th *Thread) fixUnderfull(n *node) {
 		if nIdx == 0 {
 			sIdx = 1
 		}
-		sibling := p.ptrs[sIdx].Load()
+		sibling := p.inner().ptrs[sIdx].Load()
 
 		// Lock order: bottom-to-top, left-to-right (deadlock freedom,
 		// paper §3.3.5).
@@ -145,7 +145,7 @@ func (th *Thread) fixUnderfull(n *node) {
 			return
 		}
 		if int(p.nchildren) < t.a ||
-			n.marked.Load() || sibling.marked.Load() || p.marked.Load() || gp.marked.Load() ||
+			n.marked() || sibling.marked() || p.marked() || gp.marked() ||
 			n.tagged() || sibling.tagged() || p.tagged() {
 			th.unlockAll()
 			yield_()
@@ -178,19 +178,20 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pI
 	var newSep uint64
 	leaves := left.isLeaf()
 	if leaves {
-		items := gatherLeaf(t, left)
-		items = append(items, gatherLeaf(t, right)...)
+		ll, rl := left.leaf(), right.leaf()
+		items := gatherLeaf(t, ll)
+		items = append(items, gatherLeaf(t, rl)...)
 		sortKVs(items)
 		lc := (len(items) + 1) / 2
 		newSep = items[lc].k
 		// Version windows around the replacement (closed after the marks
 		// below): snapshot scans arbitrate against the stamp read here.
-		left.ver.Add(1)
-		right.ver.Add(1)
+		ll.ver.Add(1)
+		rl.ver.Add(1)
 		c := t.rqp.ReadStamp()
-		newLeft = newLeaf(items[:lc], items[0].k)
-		newRight = newLeaf(items[lc:], newSep)
-		t.rqInheritDistribute(left, right, newLeft, newRight, newSep, c)
+		nl, nr := newLeaf(items[:lc], items[0].k), newLeaf(items[lc:], newSep)
+		t.rqInheritDistribute(ll, rl, nl, nr, newSep, c)
+		newLeft, newRight = &nl.node, &nr.node
 	} else {
 		children, keys := gatherInternal(left, right, sep)
 		lc := (len(children) + 1) / 2
@@ -209,7 +210,7 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pI
 		case lIdx + 1:
 			pchildren = append(pchildren, newRight)
 		default:
-			pchildren = append(pchildren, p.ptrs[i].Load())
+			pchildren = append(pchildren, p.inner().ptrs[i].Load())
 		}
 	}
 	for i := 0; i < pc-1; i++ {
@@ -221,13 +222,13 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pI
 	}
 	newParent := newInternal(p.kind, pkeys, pchildren, p.searchKey)
 
-	gp.ptrs[pIdx].Store(newParent)
-	left.marked.Store(true)
-	right.marked.Store(true)
-	p.marked.Store(true)
+	gp.inner().ptrs[pIdx].Store(newParent)
+	left.mark()
+	right.mark()
+	p.mark()
 	if leaves {
-		left.ver.Add(1)
-		right.ver.Add(1)
+		left.leaf().ver.Add(1)
+		right.leaf().ver.Add(1)
 	}
 	th.unlockAll()
 }
@@ -241,32 +242,34 @@ func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx in
 	var nn *node
 	leaves := left.isLeaf()
 	if leaves {
-		items := gatherLeaf(t, left)
-		items = append(items, gatherLeaf(t, right)...)
+		ll, rl := left.leaf(), right.leaf()
+		items := gatherLeaf(t, ll)
+		items = append(items, gatherLeaf(t, rl)...)
 		// Version windows around the replacement (closed after the
 		// marks): snapshot scans arbitrate against the stamp read here.
-		left.ver.Add(1)
-		right.ver.Add(1)
+		ll.ver.Add(1)
+		rl.ver.Add(1)
 		c := t.rqp.ReadStamp()
-		nn = newLeaf(items, sep)
-		t.rqInheritMerge(left, right, nn, c)
+		ml := newLeaf(items, sep)
+		t.rqInheritMerge(ll, rl, ml, c)
+		nn = &ml.node
 	} else {
 		children, keys := gatherInternal(left, right, sep)
 		nn = newInternal(internalKind, keys, children, sep)
 	}
 	closeWindows := func() {
 		if leaves {
-			left.ver.Add(1)
-			right.ver.Add(1)
+			left.leaf().ver.Add(1)
+			right.leaf().ver.Add(1)
 		}
 	}
 
 	if gp == t.entry && int(p.nchildren) == 2 {
 		// p was the root and is now down to one child: collapse a level.
-		t.entry.ptrs[0].Store(nn)
-		left.marked.Store(true)
-		right.marked.Store(true)
-		p.marked.Store(true)
+		t.entry.inner().ptrs[0].Store(nn)
+		left.mark()
+		right.mark()
+		p.mark()
 		closeWindows()
 		th.unlockAll()
 		return
@@ -282,7 +285,7 @@ func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx in
 		case lIdx + 1:
 			// right's slot: dropped.
 		default:
-			pchildren = append(pchildren, p.ptrs[i].Load())
+			pchildren = append(pchildren, p.inner().ptrs[i].Load())
 		}
 	}
 	for i := 0; i < pc-1; i++ {
@@ -292,10 +295,10 @@ func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx in
 	}
 	newParent := newInternal(p.kind, pkeys, pchildren, p.searchKey)
 
-	gp.ptrs[pIdx].Store(newParent)
-	left.marked.Store(true)
-	right.marked.Store(true)
-	p.marked.Store(true)
+	gp.inner().ptrs[pIdx].Store(newParent)
+	left.mark()
+	right.mark()
+	p.mark()
 	closeWindows()
 	th.unlockAll()
 
@@ -316,7 +319,7 @@ func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx in
 }
 
 // gatherLeaf collects a locked leaf's key-value pairs.
-func gatherLeaf(t *Tree, l *node) []kv {
+func gatherLeaf(t *Tree, l *leafNode) []kv {
 	items := make([]kv, 0, t.b)
 	for i := 0; i < t.b; i++ {
 		if k := l.keys[i].Load(); k != emptyKey {
@@ -333,14 +336,14 @@ func gatherInternal(left, right *node, sep uint64) ([]*node, []uint64) {
 	children := make([]*node, 0, lc+rc)
 	keys := make([]uint64, 0, lc+rc-1)
 	for i := 0; i < lc; i++ {
-		children = append(children, left.ptrs[i].Load())
+		children = append(children, left.inner().ptrs[i].Load())
 	}
 	for i := 0; i < lc-1; i++ {
 		keys = append(keys, left.keys[i].Load())
 	}
 	keys = append(keys, sep)
 	for i := 0; i < rc; i++ {
-		children = append(children, right.ptrs[i].Load())
+		children = append(children, right.inner().ptrs[i].Load())
 	}
 	for i := 0; i < rc-1; i++ {
 		keys = append(keys, right.keys[i].Load())

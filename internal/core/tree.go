@@ -128,9 +128,12 @@ func New(opts ...Option) *Tree {
 	}
 	t.rqp = rq.NewProviderWith(t.rqClock)
 	root := newLeaf(nil, 0)
-	t.entry = newInternal(internalKind, nil, []*node{root}, 0)
+	t.entry = newInternal(internalKind, nil, []*node{&root.node}, 0)
 	return t
 }
+
+// root returns the tree's root: the entry sentinel's only child.
+func (t *Tree) root() *node { return t.entry.inner().ptrs[0].Load() }
 
 // Elim reports whether publishing elimination is enabled.
 func (t *Tree) Elim() bool { return t.elim }
@@ -150,9 +153,9 @@ func (t *Tree) MaxSize() int { return t.b }
 type pathInfo struct {
 	gp   *node // grandparent (nil if p is the entry or n is the root)
 	p    *node // parent (entry if n is the root; nil if n is the entry)
-	pIdx int   // index of p in gp.ptrs
+	pIdx int   // index of p in gp's ptrs
 	n    *node // the leaf reached, or target if encountered
-	nIdx int   // index of n in p.ptrs
+	nIdx int   // index of n in p's ptrs
 }
 
 // search descends from the entry toward key, stopping at a leaf or at
@@ -172,7 +175,7 @@ func (t *Tree) search(key uint64, target *node) pathInfo {
 		for nIdx < rk && key >= n.keys[nIdx].Load() {
 			nIdx++
 		}
-		n = n.ptrs[nIdx].Load()
+		n = n.inner().ptrs[nIdx].Load()
 	}
 	return pathInfo{gp: gp, p: p, pIdx: pIdx, n: n, nIdx: nIdx}
 }
@@ -182,7 +185,7 @@ func (t *Tree) search(key uint64, target *node) pathInfo {
 // version, scan, re-read the version; retry if the leaf changed or was
 // being modified. It never takes a lock — find operations never restart
 // from the root in the OCC-ABtree.
-func (t *Tree) leafSearch(l *node, key uint64) (uint64, bool) {
+func (t *Tree) leafSearch(l *leafNode, key uint64) (uint64, bool) {
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -209,7 +212,7 @@ func (t *Tree) leafSearch(l *node, key uint64) (uint64, bool) {
 // leafScanOnce performs the Elim-ABtree's single optimistic scan (§4.1):
 // one pass over the leaf, with consistent reporting whether the leaf was
 // quiescent and unchanged across the scan.
-func (t *Tree) leafScanOnce(l *node, key uint64) (val uint64, found, consistent bool) {
+func (t *Tree) leafScanOnce(l *leafNode, key uint64) (val uint64, found, consistent bool) {
 	v1 := l.ver.Load()
 	if v1&1 == 1 {
 		return 0, false, false

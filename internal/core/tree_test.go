@@ -355,7 +355,7 @@ func TestSortedLeavesAblation(t *testing.T) {
 	var walk func(n *node) error
 	walk = func(n *node) error {
 		if n.isLeaf() {
-			sz := int(n.size.Load())
+			sz := int(n.leaf().size())
 			prev := uint64(0)
 			for i := 0; i < sz; i++ {
 				k := n.keys[i].Load()
@@ -372,13 +372,13 @@ func TestSortedLeavesAblation(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < int(n.nchildren); i++ {
-			if err := walk(n.ptrs[i].Load()); err != nil {
+			if err := walk(n.inner().ptrs[i].Load()); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(tr.entry.ptrs[0].Load()); err != nil {
+	if err := walk(tr.root()); err != nil {
 		t.Fatal(err)
 	}
 }

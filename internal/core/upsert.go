@@ -68,7 +68,7 @@ func (th *Thread) Upsert(key, val uint64) {
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n
+		leaf := path.n.leaf()
 
 		if t.elim {
 			acquired, _ := th.lockOrElimKind(leaf, key, opUpsert)
@@ -79,10 +79,10 @@ func (th *Thread) Upsert(key, val uint64) {
 				return
 			}
 		} else {
-			th.lockNode(leaf)
+			th.lockNode(&leaf.node)
 		}
 
-		if leaf.marked.Load() {
+		if leaf.marked() {
 			th.unlockAll()
 			continue
 		}
@@ -123,7 +123,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			}
 			leaf.vals[emptyIdx].Store(val)
 			leaf.keys[emptyIdx].Store(key)
-			leaf.size.Add(1)
+			leaf.addSize(1)
 			leaf.ver.Add(1)
 			th.unlockAll()
 			return
@@ -132,7 +132,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			// like the paper's splitting inserts).
 			parent := path.p
 			th.lockNode(parent)
-			if parent.marked.Load() {
+			if parent.marked() {
 				th.unlockAll()
 				continue
 			}
@@ -148,7 +148,7 @@ func (th *Thread) Upsert(key, val uint64) {
 
 // lockOrElimKind generalizes lockOrElim with the op/record compatibility
 // matrix. The paper's original operations use the original pairs.
-func (th *Thread) lockOrElimKind(leaf *node, key uint64, op opKind) (acquired bool, val uint64) {
+func (th *Thread) lockOrElimKind(leaf *leafNode, key uint64, op opKind) (acquired bool, val uint64) {
 	startVer := leaf.ver.Load()
 	spins := 0
 	for {
@@ -165,7 +165,7 @@ func (th *Thread) lockOrElimKind(leaf *node, key uint64, op opKind) (acquired bo
 		if rec != nil && startVer <= rec.Ver && rec.Key == key && canEliminate(op, rec.Kind) {
 			return false, rec.Val
 		}
-		if th.tryLockNode(leaf) {
+		if th.tryLockNode(&leaf.node) {
 			return true, 0
 		}
 		spinPause(&spins)

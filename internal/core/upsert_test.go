@@ -115,8 +115,8 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		if tc.recKind != RecInsert {
 			pub.Insert(7, 1)
 		}
-		leaf := tr.search(7, nil).n
-		pub.lockNode(leaf)
+		leaf := tr.search(7, nil).n.leaf()
+		pub.lockNode(&leaf.node)
 		ver := leaf.ver.Add(1)
 		leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver, Kind: tc.recKind})
 
@@ -140,12 +140,12 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		case RecInsert:
 			leaf.vals[0].Store(42)
 			leaf.keys[0].Store(7)
-			leaf.size.Add(1)
+			leaf.addSize(1)
 		case RecDelete:
 			for i := 0; i < tr.b; i++ {
 				if leaf.keys[i].Load() == 7 {
 					leaf.keys[i].Store(emptyKey)
-					leaf.size.Add(-1)
+					leaf.addSize(-1)
 					break
 				}
 			}

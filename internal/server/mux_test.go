@@ -293,8 +293,9 @@ func TestMuxLinearizableRacingBatch(t *testing.T) {
 }
 
 // TestAllocsMux: the ISSUE 7 alloc gate. A warmed-up per-key operation
-// through the mux — combiner staging, frame encode, server round trip,
-// reader scatter, waiter wakeup — allocates nothing process-wide.
+// through the mux — queueing on the shared conn, frame encode, server
+// round trip, response scatter, owner wakeup — allocates nothing
+// process-wide.
 func TestAllocsMux(t *testing.T) {
 	_, m := startMux(t, "occ", 1<<16, 2, client.MuxConfig{})
 	h := m.NewHandle()
