@@ -57,7 +57,7 @@ func (t *Tree) leafSearchSorted(l *leafNode, key uint64) (uint64, bool) {
 func (th *Thread) findLocked(key uint64) (uint64, bool) {
 	t := th.t
 	for {
-		leaf := t.search(key, nil).n.leaf()
+		leaf := t.search(key, nil).Node.leaf()
 		th.lockNode(&leaf.node)
 		if leaf.marked() {
 			th.unlockAll()

@@ -25,6 +25,8 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+
+	"repro/internal/abalg"
 )
 
 // fcRecord statuses.
@@ -73,7 +75,7 @@ func (th *Thread) combineUpdate(leaf *leafNode, key, val uint64, isInsert bool) 
 			newSize := th.combine(leaf, q, rec)
 			th.unlockAll()
 			if newSize >= 0 && int(newSize) < th.t.a {
-				th.fixUnderfull(&leaf.node)
+				abalg.FixUnderfull(th.store(), &leaf.node)
 			}
 			// Our record was either drained by a previous combiner
 			// (status already set when we got the lock) or by our own

@@ -60,7 +60,7 @@ func TestCombiningBatch(t *testing.T) {
 	th.Insert(100, 1)
 	th.Insert(200, 2)
 
-	leaf := tr.search(100, nil).n
+	leaf := tr.search(100, nil).Node
 	holder := tr.NewThread()
 	holder.lockNode(leaf)
 

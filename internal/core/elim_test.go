@@ -17,7 +17,7 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 
 	// The publisher: manually perform the first half of insert(7, 42).
 	pub := tr.NewThread()
-	leaf := tr.search(7, nil).n.leaf()
+	leaf := tr.search(7, nil).Node.leaf()
 	pub.lockNode(&leaf.node)
 	ver := leaf.ver.Add(1) // odd: modification in progress
 	leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver})
@@ -113,7 +113,7 @@ func b2u(b bool) uint64 {
 func TestFindEliminationDeterministic(t *testing.T) {
 	tr := New(WithElimination(), WithFindElimination())
 	pub := tr.NewThread()
-	leaf := tr.search(7, nil).n.leaf()
+	leaf := tr.search(7, nil).Node.leaf()
 	pub.lockNode(&leaf.node)
 	ver := leaf.ver.Add(1) // leaf stays "mid-update": scans never consistent
 	leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver, Kind: RecInsert})
@@ -156,7 +156,7 @@ func TestFindEliminationDeleteRecord(t *testing.T) {
 	tr := New(WithElimination(), WithFindElimination())
 	pub := tr.NewThread()
 	pub.Insert(7, 1)
-	leaf := tr.search(7, nil).n.leaf()
+	leaf := tr.search(7, nil).Node.leaf()
 	pub.lockNode(&leaf.node)
 	ver := leaf.ver.Add(1)
 	leaf.rec.Store(&ElimRecord{Key: 7, Val: 1, Ver: ver, Kind: RecDelete})

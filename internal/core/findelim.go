@@ -21,7 +21,7 @@ func WithFindElimination() Option { return func(t *Tree) { t.elimFinds = true } 
 // is interrupted, try the record before rescanning.
 func (th *Thread) findElim(key uint64) (uint64, bool) {
 	t := th.t
-	leaf := t.search(key, nil).n.leaf()
+	leaf := t.search(key, nil).Node.leaf()
 	startVer := leaf.ver.Load()
 	spins := 0
 	for {

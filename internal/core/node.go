@@ -13,7 +13,10 @@
 // Both trees are instances of one Tree type (elimination is a construction
 // option) because they share the node layout, search, and rebalancing code;
 // the paper describes the Elim-ABtree as "a modified version of the
-// OCC-ABtree".
+// OCC-ABtree". The rebalancing, validation and batch driver are shared
+// with the durable trees of internal/pabtree: internal/abalg holds them
+// once, generic over a node store, and store.go adapts this package's
+// heap nodes to it.
 //
 // Keys and values are uint64. Key 0 is reserved as the paper's ⊥ (the
 // empty-slot sentinel in leaf key arrays).
@@ -23,6 +26,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/abalg"
 	"repro/internal/cohortlock"
 	"repro/internal/mcslock"
 	"repro/internal/rq"
@@ -45,15 +49,11 @@ const (
 	emptyKey = 0
 )
 
-type kind uint8
-
+// Node kinds, shared with the algorithm package.
 const (
-	leafKind kind = iota
-	internalKind
-	// taggedKind marks a TaggedInternal node: a temporary height imbalance
-	// created by a splitting insert (or by fixTagged's split case), always
-	// with exactly two children, removed by fixTagged.
-	taggedKind
+	leafKind     = abalg.Leaf
+	internalKind = abalg.Internal
+	taggedKind   = abalg.Tagged
 )
 
 // ElimRecord summarises the last simple insert or successful delete that
@@ -80,8 +80,8 @@ type ElimRecord struct {
 //   - innerNode: the shared header, then ptrs. Internal and tagged
 //     internal nodes use it.
 //
-// Tree links and the header-level code (search, locking, marking,
-// fixTagged and fixUnderfull) hold a *node, the header. Each layout
+// Tree links and the header-level code (search, locking, marking, and
+// the store adapter the shared rebalancing runs on) hold a *node, the header. Each layout
 // embeds the header first, so a *node is also the address of the
 // layout it was allocated as: n.leaf() and n.inner() convert it back,
 // and are only valid for that kind (checkptr, enabled by -race, rejects
@@ -107,7 +107,7 @@ type ElimRecord struct {
 //   - marked: set (once, never cleared) while the node's lock is held,
 //     when the node is unlinked from the tree.
 type node struct {
-	kind kind
+	kind abalg.Kind
 
 	// nchildren is an internal node's child-pointer count (immutable);
 	// the node has nchildren-1 routing keys in keys[0..nchildren-2].
@@ -120,10 +120,8 @@ type node struct {
 
 	mcs mcslock.Lock
 
-	// searchKey is an immutable key within this node's key range, used by
-	// fixTagged/fixUnderfull to re-locate the node: the unique search path
-	// for searchKey passes through every reachable node whose key range
-	// contains it (paper Def. 3.3/3.4), hence through this node.
+	// searchKey is the lower bound of the node's (immutable) key range,
+	// which rebalancing uses to re-locate the node (see internal/abalg).
 	searchKey uint64
 
 	// opts holds state only some options use, allocated on first use.
@@ -212,26 +210,23 @@ func (l *leafNode) addSize(delta int) int64 {
 // routingKeys returns the number of routing keys in an internal node.
 func (n *node) routingKeys() int { return int(n.nchildren) - 1 }
 
-// kv is a key-value pair staged during node construction.
-type kv struct{ k, v uint64 }
-
 // newLeaf builds a leaf containing items (at most b of them), packed into
-// the first len(items) slots. searchKey must lie within the leaf's key
-// range.
-func newLeaf(items []kv, searchKey uint64) *leafNode {
+// the first len(items) slots. searchKey is the leaf's key-range lower
+// bound.
+func newLeaf(items []abalg.KV, searchKey uint64) *leafNode {
 	l := &leafNode{node: node{kind: leafKind, searchKey: searchKey}}
 	for i, it := range items {
-		l.keys[i].Store(it.k)
-		l.vals[i].Store(it.v)
+		l.keys[i].Store(it.K)
+		l.vals[i].Store(it.V)
 	}
 	l.state.Store(uint32(len(items)))
 	return l
 }
 
 // newInternal builds an internal or tagged node with the given routing keys
-// and children; len(children) must equal len(keys)+1. searchKey must lie
-// within the node's key range.
-func newInternal(k kind, keys []uint64, children []*node, searchKey uint64) *node {
+// and children; len(children) must equal len(keys)+1. searchKey is the
+// node's key-range lower bound.
+func newInternal(k abalg.Kind, keys []uint64, children []*node, searchKey uint64) *node {
 	if len(children) != len(keys)+1 {
 		panic("core: internal node children/keys arity mismatch")
 	}
@@ -243,13 +238,4 @@ func newInternal(k kind, keys []uint64, children []*node, searchKey uint64) *nod
 		n.ptrs[i].Store(c)
 	}
 	return &n.node
-}
-
-// sizeOf returns a node's occupancy in the (a,b) sense: key count for a
-// leaf, child count for an internal node.
-func sizeOf(n *node) int {
-	if n.isLeaf() {
-		return int(n.leaf().size())
-	}
-	return int(n.nchildren)
 }

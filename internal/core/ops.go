@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/abalg"
+
 // Find returns the value associated with key, if present (paper §3.2).
 // Finds take no locks and never restart from the root.
 func (th *Thread) Find(key uint64) (uint64, bool) {
@@ -11,7 +13,7 @@ func (th *Thread) Find(key uint64) (uint64, bool) {
 	if t.elimFinds {
 		return th.findElim(key)
 	}
-	leaf := t.search(key, nil).n.leaf()
+	leaf := t.search(key, nil).Node.leaf()
 	if t.sorted {
 		return t.leafSearchSorted(leaf, key)
 	}
@@ -26,7 +28,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n.leaf()
+		leaf := path.Node.leaf()
 
 		// Pre-lock read phase. The OCC-ABtree retries leafSearch until it
 		// has a consistent snapshot; the Elim-ABtree scans once and, on
@@ -51,7 +53,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			if consistent && found {
 				return v, false
 			}
-			acquired, ev := th.lockOrElimKind(leaf, key, opInsert)
+			acquired, ev := th.lockOrElimKind(leaf, key, abalg.ElimInsert)
 			if !acquired {
 				// Eliminated: linearized immediately after the record's
 				// operation; key is (momentarily) present with rec.Val.
@@ -92,16 +94,16 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 		// Splitting insert: no empty slot; replace the leaf with a tagged
 		// node over two half leaves (linearizes at the parent's pointer
 		// write). Lock the parent too (bottom-to-top order).
-		parent := path.p
+		parent := path.Parent
 		th.lockNode(parent)
 		if parent.marked() {
 			th.unlockAll()
 			continue
 		}
-		taggedNode := t.splitInsert(leaf, parent, path.nIdx, key, val)
+		taggedNode := t.splitInsert(leaf, parent, path.NodeIdx, key, val)
 		th.unlockAll()
 		if taggedNode != nil {
-			th.fixTagged(taggedNode)
+			abalg.FixTagged(th.store(), taggedNode)
 		}
 		return 0, true
 	}
@@ -148,17 +150,17 @@ func (t *Tree) insertUnsorted(leaf *leafNode, key, val uint64) (done bool, old u
 // locked and unmarked. It returns the created tagged node (nil if the new
 // subtree root is an untagged internal, i.e. the new tree root).
 func (t *Tree) splitInsert(leaf *leafNode, parent *node, nIdx int, key, val uint64) *node {
-	items := make([]kv, 0, t.b+1)
+	items := make([]abalg.KV, 0, t.b+1)
 	for i := 0; i < t.b; i++ {
 		if k := leaf.keys[i].Load(); k != emptyKey {
-			items = append(items, kv{k, leaf.vals[i].Load()})
+			items = append(items, abalg.KV{K: k, V: leaf.vals[i].Load()})
 		}
 	}
-	items = append(items, kv{key, val})
-	sortKVs(items)
+	items = append(items, abalg.KV{K: key, V: val})
+	abalg.SortKVs(items)
 
 	mid := len(items) / 2
-	sep := items[mid].k
+	sep := items[mid].K
 
 	// Open the leaf's version window around the replacement: the scan
 	// timestamp must be read where a snapshot scan's double collect can
@@ -166,7 +168,7 @@ func (t *Tree) splitInsert(leaf *leafNode, parent *node, nIdx int, key, val uint
 	// only its reachability changes.
 	leaf.ver.Add(1)
 	c := t.rqp.ReadStamp()
-	left := newLeaf(items[:mid], items[0].k)
+	left := newLeaf(items[:mid], leaf.searchKey)
 	right := newLeaf(items[mid:], sep)
 	t.rqInheritSplit(leaf, left, right, sep, c)
 
@@ -177,7 +179,7 @@ func (t *Tree) splitInsert(leaf *leafNode, parent *node, nIdx int, key, val uint
 	if parent == t.entry {
 		k = internalKind
 	}
-	nn := newInternal(k, []uint64{sep}, []*node{&left.node, &right.node}, sep)
+	nn := newInternal(k, []uint64{sep}, []*node{&left.node, &right.node}, leaf.searchKey)
 
 	parent.inner().ptrs[nIdx].Store(nn)
 	leaf.mark()
@@ -195,7 +197,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n.leaf()
+		leaf := path.Node.leaf()
 
 		if t.combining {
 			if _, found := t.leafSearch(leaf, key); !found {
@@ -213,7 +215,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			if consistent && !found {
 				return 0, false
 			}
-			acquired, _ := th.lockOrElimKind(leaf, key, opDelete)
+			acquired, _ := th.lockOrElimKind(leaf, key, abalg.ElimDelete)
 			if !acquired {
 				// Eliminated deletes always return ⊥ (§4.1): linearized
 				// just before the record's insert, or just after the
@@ -247,7 +249,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 				return 0, false
 			}
 			if int(newSize) < t.a {
-				th.fixUnderfull(&leaf.node)
+				abalg.FixUnderfull(th.store(), &leaf.node)
 			}
 			return val, true
 		}
@@ -259,7 +261,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			return 0, false
 		}
 		if int(newSize) < t.a {
-			th.fixUnderfull(&leaf.node)
+			abalg.FixUnderfull(th.store(), &leaf.node)
 		}
 		return val, true
 	}
@@ -297,20 +299,5 @@ func checkKey(key uint64) {
 	}
 	if key == ^uint64(0) {
 		panic("core: key 2^64-1 is reserved as the key-range upper bound")
-	}
-}
-
-// sortKVs sorts items by key (insertion sort: at most b+1 = 12 elements,
-// called with the leaf lock held, so avoiding sort.Slice's allocation and
-// indirection is worthwhile).
-func sortKVs(items []kv) {
-	for i := 1; i < len(items); i++ {
-		it := items[i]
-		j := i - 1
-		for j >= 0 && items[j].k > it.k {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = it
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/abalg"
+
 // Range scanning. The paper's trees do not include range queries ("could
 // be added using the techniques described in [Arbel-Raviv & Brown,
 // PPoPP'18]", §3); this implementation provides the practical middle
@@ -141,7 +143,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *leafNode, bo
 // caller must re-descend from the root: a cached path may have led here
 // arbitrarily long after the unlink, so the frozen contents cannot be
 // served.
-func (t *Tree) snapshotLeaf(buf []kv, l *leafNode, lo, hi uint64) (items []kv, ok bool) {
+func (t *Tree) snapshotLeaf(buf []abalg.KV, l *leafNode, lo, hi uint64) (items []abalg.KV, ok bool) {
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -156,11 +158,11 @@ func (t *Tree) snapshotLeaf(buf []kv, l *leafNode, lo, hi uint64) (items []kv, o
 		for i := 0; i < t.b; i++ {
 			k := l.keys[i].Load()
 			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, kv{k, l.vals[i].Load()})
+				items = append(items, abalg.KV{K: k, V: l.vals[i].Load()})
 			}
 		}
 		if l.ver.Load() == v1 {
-			sortKVs(items)
+			abalg.SortKVs(items)
 			return items, true
 		}
 		buf = items[:0]
@@ -199,7 +201,7 @@ func (th *Thread) Range(lo, hi uint64, fn func(k, v uint64) bool) {
 			continue // leaf was unlinked: re-descend to its replacement
 		}
 		for _, it := range items {
-			if !fn(it.k, it.v) {
+			if !fn(it.K, it.V) {
 				return
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"repro/internal/abalg"
 	"repro/internal/cohortlock"
 	"repro/internal/mcslock"
 	"repro/internal/rq"
@@ -37,7 +38,7 @@ type Thread struct {
 	// scans neither re-descend from the root per leaf nor allocate.
 	// noScanCache forces full re-descents (differential tests only).
 	path        scanPath
-	kvBuf       []kv
+	kvBuf       []abalg.KV
 	pairBuf     []rq.Pair
 	noScanCache bool
 

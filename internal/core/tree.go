@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"repro/internal/abalg"
 	"repro/internal/rq"
 )
 
@@ -148,19 +149,9 @@ func (t *Tree) MinSize() int { return t.a }
 // MaxSize returns the maximum node size b.
 func (t *Tree) MaxSize() int { return t.b }
 
-// pathInfo is the result of a search: the node reached, its parent and
-// grandparent, and the child indices along the way (paper Figure 1).
-type pathInfo struct {
-	gp   *node // grandparent (nil if p is the entry or n is the root)
-	p    *node // parent (entry if n is the root; nil if n is the entry)
-	pIdx int   // index of p in gp's ptrs
-	n    *node // the leaf reached, or target if encountered
-	nIdx int   // index of n in p's ptrs
-}
-
 // search descends from the entry toward key, stopping at a leaf or at
 // target (whichever comes first), taking no locks (paper Figure 2).
-func (t *Tree) search(key uint64, target *node) pathInfo {
+func (t *Tree) search(key uint64, target *node) abalg.Path[*node] {
 	var gp, p *node
 	pIdx := 0
 	n := t.entry
@@ -177,7 +168,7 @@ func (t *Tree) search(key uint64, target *node) pathInfo {
 		}
 		n = n.inner().ptrs[nIdx].Load()
 	}
-	return pathInfo{gp: gp, p: p, pIdx: pIdx, n: n, nIdx: nIdx}
+	return abalg.Path[*node]{Grand: gp, Parent: p, ParentIdx: pIdx, Node: n, NodeIdx: nIdx}
 }
 
 // leafSearch obtains a consistent snapshot answer for key in leaf l using

@@ -411,3 +411,33 @@ func TestSortedElimIncompatible(t *testing.T) {
 func TestSortedLeavesConcurrent(t *testing.T) {
 	stress(t, New(WithSortedLeaves()), 8, 300*time.Millisecond, 3000, 0, 100)
 }
+
+// TestValidateChecksSearchKey: Validate must reject a node whose
+// searchKey does not route to it — rebalancing re-locates nodes by that
+// key and would silently skip such a node.
+func TestValidateChecksSearchKey(t *testing.T) {
+	tr := New()
+	th := tr.NewThread()
+	for k := uint64(1); k <= 2000; k++ {
+		th.Insert(k, k)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The rightmost leaf's range starts at a routing key well above 1.
+	n := tr.root()
+	for !n.isLeaf() {
+		n = n.inner().ptrs[n.nchildren-1].Load()
+	}
+	good := n.searchKey
+	for _, bad := range []uint64{0, 1, good - 1} {
+		n.searchKey = bad
+		if err := tr.Validate(); err == nil {
+			t.Errorf("searchKey %d outside the leaf's range [%d, ∞) passed Validate", bad, good)
+		}
+	}
+	n.searchKey = good
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,63 +1,24 @@
 package core
 
 // This file implements the paper's §7 ("Future work") extension: an
-// insert with replace semantics that returns no value — "publishing
-// elimination does not require any modifications: the thread that
-// successfully modifies the data structure is linearized last".
-//
-// Supporting Upsert alongside the original insert/delete requires the
-// elimination record to say *what kind* of operation published it,
-// because the legal linearization orders differ:
-//
-//	record kind →     insert           delete           replace
-//	eliminated op ↓
-//	Insert            after, rec.Val   before, rec.Val  after, rec.Val
-//	Delete            before, ⊥        after, ⊥         —
-//	Upsert            —                before, void     before, void
-//
-// An eliminated Insert can always linearize adjacent to the publisher:
-// after an insert or replace (key present with rec.Val), or just before
-// a delete (returning the value the delete removed — the paper's §4
-// rule). An eliminated Delete linearizes just before an insert or just
-// after a delete (key absent either way, return ⊥); it cannot eliminate
-// against a replace record, whose before/after states both have the key
-// present. An eliminated Upsert linearizes just before a delete or
-// replace publisher (its value is immediately overwritten and never
-// observed); it cannot eliminate against an insert record, because the
-// key must be absent immediately before a successful insert.
+// insert with replace semantics that returns no value. Its elimination
+// records carry the kind of operation that published them, and the
+// compatibility matrix deciding which operations may eliminate against
+// which records lives in internal/abalg (CanEliminate).
+
+import "repro/internal/abalg"
 
 // RecKind identifies the operation that published an ElimRecord.
-type RecKind uint8
+type RecKind = abalg.RecKind
 
 const (
 	// RecInsert: a simple insert added the key.
-	RecInsert RecKind = iota
+	RecInsert = abalg.RecInsert
 	// RecDelete: a successful delete removed the key.
-	RecDelete
+	RecDelete = abalg.RecDelete
 	// RecReplace: an upsert overwrote the value of a present key.
-	RecReplace
+	RecReplace = abalg.RecReplace
 )
-
-// opKind identifies the operation attempting elimination.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
-	opUpsert
-)
-
-// canEliminate applies the compatibility matrix above.
-func canEliminate(op opKind, rec RecKind) bool {
-	switch op {
-	case opInsert:
-		return true
-	case opDelete:
-		return rec == RecInsert || rec == RecDelete
-	default: // opUpsert
-		return rec == RecDelete || rec == RecReplace
-	}
-}
 
 // Upsert sets key's value to val, inserting the key if absent. It
 // returns nothing: the §7 analysis shows that exactly this signature
@@ -68,10 +29,10 @@ func (th *Thread) Upsert(key, val uint64) {
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n.leaf()
+		leaf := path.Node.leaf()
 
 		if t.elim {
-			acquired, _ := th.lockOrElimKind(leaf, key, opUpsert)
+			acquired, _ := th.lockOrElimKind(leaf, key, abalg.ElimUpsert)
 			if !acquired {
 				// Eliminated: linearized immediately before the publisher;
 				// our value is overwritten without ever being observed.
@@ -130,16 +91,16 @@ func (th *Thread) Upsert(key, val uint64) {
 		default:
 			// Full leaf: splitting insert (never published/eliminated,
 			// like the paper's splitting inserts).
-			parent := path.p
+			parent := path.Parent
 			th.lockNode(parent)
 			if parent.marked() {
 				th.unlockAll()
 				continue
 			}
-			taggedNode := t.splitInsert(leaf, parent, path.nIdx, key, val)
+			taggedNode := t.splitInsert(leaf, parent, path.NodeIdx, key, val)
 			th.unlockAll()
 			if taggedNode != nil {
-				th.fixTagged(taggedNode)
+				abalg.FixTagged(th.store(), taggedNode)
 			}
 			return
 		}
@@ -148,7 +109,7 @@ func (th *Thread) Upsert(key, val uint64) {
 
 // lockOrElimKind generalizes lockOrElim with the op/record compatibility
 // matrix. The paper's original operations use the original pairs.
-func (th *Thread) lockOrElimKind(leaf *leafNode, key uint64, op opKind) (acquired bool, val uint64) {
+func (th *Thread) lockOrElimKind(leaf *leafNode, key uint64, op abalg.ElimOp) (acquired bool, val uint64) {
 	startVer := leaf.ver.Load()
 	spins := 0
 	for {
@@ -162,7 +123,7 @@ func (th *Thread) lockOrElimKind(leaf *leafNode, key uint64, op opKind) (acquire
 			}
 			spinPause(&spins)
 		}
-		if rec != nil && startVer <= rec.Ver && rec.Key == key && canEliminate(op, rec.Kind) {
+		if rec != nil && startVer <= rec.Ver && rec.Key == key && abalg.CanEliminate(op, rec.Kind) {
 			return false, rec.Val
 		}
 		if th.tryLockNode(&leaf.node) {

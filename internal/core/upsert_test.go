@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/abalg"
 	"repro/internal/xrand"
 )
 
@@ -95,18 +96,18 @@ func TestUpsertFullLeafSplits(t *testing.T) {
 func TestUpsertEliminationMatrix(t *testing.T) {
 	matrix := []struct {
 		recKind RecKind
-		op      opKind
+		op      abalg.ElimOp
 		want    bool
 	}{
-		{RecInsert, opInsert, true},
-		{RecInsert, opDelete, true},
-		{RecInsert, opUpsert, false},
-		{RecDelete, opInsert, true},
-		{RecDelete, opDelete, true},
-		{RecDelete, opUpsert, true},
-		{RecReplace, opInsert, true},
-		{RecReplace, opDelete, false},
-		{RecReplace, opUpsert, true},
+		{RecInsert, abalg.ElimInsert, true},
+		{RecInsert, abalg.ElimDelete, true},
+		{RecInsert, abalg.ElimUpsert, false},
+		{RecDelete, abalg.ElimInsert, true},
+		{RecDelete, abalg.ElimDelete, true},
+		{RecDelete, abalg.ElimUpsert, true},
+		{RecReplace, abalg.ElimInsert, true},
+		{RecReplace, abalg.ElimDelete, false},
+		{RecReplace, abalg.ElimUpsert, true},
 	}
 	for _, tc := range matrix {
 		tr := New(WithElimination())
@@ -115,7 +116,7 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		if tc.recKind != RecInsert {
 			pub.Insert(7, 1)
 		}
-		leaf := tr.search(7, nil).n.leaf()
+		leaf := tr.search(7, nil).Node.leaf()
 		pub.lockNode(&leaf.node)
 		ver := leaf.ver.Add(1)
 		leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver, Kind: tc.recKind})
@@ -125,11 +126,11 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 			defer close(done)
 			th := tr.NewThread()
 			switch tc.op {
-			case opInsert:
+			case abalg.ElimInsert:
 				th.Insert(7, 100)
-			case opDelete:
+			case abalg.ElimDelete:
 				th.Delete(7)
-			case opUpsert:
+			case abalg.ElimUpsert:
 				th.Upsert(7, 200)
 			}
 		}()

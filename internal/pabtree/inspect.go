@@ -1,32 +1,16 @@
 package pabtree
 
 import (
-	"errors"
 	"fmt"
-	"math"
+
+	"repro/internal/abalg"
 )
 
 // Quiescent inspection utilities (no synchronization; tests and
-// post-benchmark accounting only).
+// post-benchmark accounting only). The walks are internal/abalg's.
 
 // Scan calls fn for every key-value pair in ascending key order.
-func (t *Tree) Scan(fn func(k, v uint64)) {
-	t.scan(t.loadChild(t.entryOff, 0), fn)
-}
-
-func (t *Tree) scan(off uint64, fn func(k, v uint64)) {
-	if t.isLeaf(off) {
-		items := t.gatherLeaf(off)
-		sortKVs(items)
-		for _, it := range items {
-			fn(it.k, it.v)
-		}
-		return
-	}
-	for i := 0; i < nchildrenOf(t.meta(off)); i++ {
-		t.scan(t.loadChild(off, i), fn)
-	}
-}
+func (t *Tree) Scan(fn func(k, v uint64)) { abalg.Scan(t.walker(), fn) }
 
 // Len returns the number of keys.
 func (t *Tree) Len() int {
@@ -43,98 +27,12 @@ func (t *Tree) KeySum() uint64 {
 }
 
 // Height returns the number of levels below the entry node.
-func (t *Tree) Height() int {
-	h := 0
-	for off := t.loadChild(t.entryOff, 0); ; off = t.loadChild(off, 0) {
-		h++
-		if t.isLeaf(off) {
-			return h
-		}
-	}
-}
+func (t *Tree) Height() int { return abalg.Height(t.walker()) }
 
-// Validate checks the Theorem 5.4 structural invariants on the volatile
-// view of a quiescent tree (after Recover, volatile == persisted, so this
-// validates the recovered image too).
-func (t *Tree) Validate() error {
-	root := t.loadChild(t.entryOff, 0)
-	leafDepth := -1
-	seen := make(map[uint64]bool)
-	var walk func(off uint64, lo, hi uint64, depth int, isRoot bool) error
-	walk = func(off uint64, lo, hi uint64, depth int, isRoot bool) error {
-		if off == 0 {
-			return errors.New("null child pointer")
-		}
-		v := t.vn(off)
-		if v.marked.Load() {
-			return fmt.Errorf("reachable node at depth %d is marked", depth)
-		}
-		meta := t.meta(off)
-		if kindOf(meta) == taggedKind {
-			return fmt.Errorf("tagged node present at quiescence (depth %d)", depth)
-		}
-		if kindOf(meta) == leafKind {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if depth != leafDepth {
-				return fmt.Errorf("leaf at depth %d, expected %d", depth, leafDepth)
-			}
-			count := 0
-			for i := 0; i < t.b; i++ {
-				k := t.loadKeyWord(off, i)
-				if k == emptyKey {
-					continue
-				}
-				count++
-				if k < lo || k >= hi {
-					return fmt.Errorf("leaf key %d outside [%d, %d)", k, lo, hi)
-				}
-				if seen[k] {
-					return fmt.Errorf("duplicate key %d", k)
-				}
-				seen[k] = true
-			}
-			if int64(count) != v.size.Load() {
-				return fmt.Errorf("leaf size %d but %d non-empty keys", v.size.Load(), count)
-			}
-			if !isRoot && (count < t.a || count > t.b) {
-				return fmt.Errorf("leaf size %d outside [%d, %d]", count, t.a, t.b)
-			}
-			return nil
-		}
-		nc := nchildrenOf(meta)
-		if !isRoot && nc < t.a {
-			return fmt.Errorf("internal node with %d children (< a=%d)", nc, t.a)
-		}
-		if nc < 2 || nc > t.b {
-			return fmt.Errorf("internal node with %d children outside [2, %d]", nc, t.b)
-		}
-		prev := lo
-		for i := 0; i < nc-1; i++ {
-			k := t.loadKeyWord(off, i)
-			if k < prev || k >= hi {
-				return fmt.Errorf("routing key %d not in [%d, %d)", k, prev, hi)
-			}
-			if i > 0 && k <= t.loadKeyWord(off, i-1) {
-				return fmt.Errorf("routing keys not strictly increasing at %d", i)
-			}
-			prev = k
-		}
-		childLo := lo
-		for i := 0; i < nc; i++ {
-			childHi := hi
-			if i < nc-1 {
-				childHi = t.loadKeyWord(off, i)
-			}
-			if err := walk(t.loadChild(off, i), childLo, childHi, depth+1, false); err != nil {
-				return err
-			}
-			childLo = childHi
-		}
-		return nil
-	}
-	return walk(root, 1, math.MaxUint64, 0, true)
-}
+// Validate checks the Theorem 5.4 structural invariants (abalg.Validate
+// lists them) on the volatile view of a quiescent tree (after Recover,
+// volatile == persisted, so this validates the recovered image too).
+func (t *Tree) Validate() error { return abalg.Validate(t.walker()) }
 
 // ValidatePersisted verifies that every reachable node's persisted image
 // matches its volatile image for the durable fields (keys, values for
@@ -200,29 +98,14 @@ type Stats struct {
 
 // Stats collects shape statistics (quiescent only).
 func (t *Tree) Stats() Stats {
-	var s Stats
-	s.Height = t.Height()
-	s.SlotsUsed = t.arena.Allocated() / strideWords
-	var walk func(off uint64)
-	walk = func(off uint64) {
-		meta := t.meta(off)
-		if kindOf(meta) == leafKind {
-			s.Leaves++
-			s.Keys += int(t.vn(off).size.Load())
-			return
-		}
-		if kindOf(meta) == taggedKind {
-			s.Tagged++
-		} else {
-			s.Internal++
-		}
-		for i := 0; i < nchildrenOf(meta); i++ {
-			walk(t.loadChild(off, i))
-		}
+	sh := abalg.ShapeOf(t.walker())
+	return Stats{
+		Keys:        sh.Keys,
+		Leaves:      sh.Leaves,
+		Internal:    sh.Internal,
+		Tagged:      sh.Tagged,
+		Height:      sh.Height,
+		AvgLeafFill: sh.AvgLeafFill,
+		SlotsUsed:   t.arena.Allocated() / strideWords,
 	}
-	walk(t.loadChild(t.entryOff, 0))
-	if s.Leaves > 0 {
-		s.AvgLeafFill = float64(s.Keys) / float64(s.Leaves*t.b)
-	}
-	return s
 }

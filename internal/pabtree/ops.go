@@ -1,14 +1,10 @@
 package pabtree
 
-// pathInfo is a search result: node offsets plus child indices.
-type pathInfo struct {
-	gp, p, n   uint64 // offsets; 0 means "none"
-	pIdx, nIdx int
-}
+import "repro/internal/abalg"
 
 // search descends from the entry toward key, stopping at a leaf or at
 // target, lock-free. It only follows persisted (unmarked) pointers.
-func (t *Tree) search(key uint64, target uint64) pathInfo {
+func (t *Tree) search(key uint64, target uint64) abalg.Path[uint64] {
 	var gp, p uint64
 	pIdx := 0
 	n := t.entryOff
@@ -26,7 +22,7 @@ func (t *Tree) search(key uint64, target uint64) pathInfo {
 		}
 		n = t.loadChild(p, nIdx)
 	}
-	return pathInfo{gp: gp, p: p, pIdx: pIdx, n: n, nIdx: nIdx}
+	return abalg.Path[uint64]{Grand: gp, Parent: p, ParentIdx: pIdx, Node: n, NodeIdx: nIdx}
 }
 
 // leafSearch double-collects a consistent answer for key in the leaf.
@@ -81,7 +77,7 @@ func (th *Thread) Find(key uint64) (uint64, bool) {
 	defer th.exit()
 	t := th.t
 	path := t.search(key, 0)
-	return t.leafSearch(path.n, key)
+	return t.leafSearch(path.Node, key)
 }
 
 // Insert inserts <key, val> if absent, returning (0, true); if key is
@@ -93,7 +89,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 	t := th.t
 	for {
 		path := t.search(key, 0)
-		leaf := path.n
+		leaf := path.Node
 		lv := t.vn(leaf)
 
 		if t.elim {
@@ -101,7 +97,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			if consistent && found {
 				return v, false
 			}
-			acquired, ev := th.lockOrElimKind(leaf, key, pOpInsert)
+			acquired, ev := th.lockOrElimKind(leaf, key, abalg.ElimInsert)
 			if !acquired {
 				t.elimInserts.Add(1)
 				return ev, false
@@ -124,16 +120,16 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 		}
 
 		// Splitting insert.
-		parent := path.p
+		parent := path.Parent
 		th.lockNode(parent)
 		if t.vn(parent).marked.Load() {
 			th.unlockAll()
 			continue
 		}
-		taggedOff := t.splitInsert(th, leaf, parent, path.nIdx, key, val)
+		taggedOff := t.splitInsert(th, leaf, parent, path.NodeIdx, key, val)
 		th.unlockAll()
 		if taggedOff != 0 {
-			th.fixTagged(taggedOff)
+			abalg.FixTagged(th.store(), taggedOff)
 		}
 		return 0, true
 	}
@@ -170,7 +166,7 @@ func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old ui
 	ver := lv.ver.Add(1)
 	t.rqStamp(leaf)
 	if t.elim {
-		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recInsert})
+		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: abalg.RecInsert})
 	}
 	valOff := leaf + valsBase + uint64(emptyIdx)
 	keyOff := leaf + keysBase + uint64(emptyIdx)
@@ -204,7 +200,7 @@ func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool
 	ver := lv.ver.Add(1)
 	t.rqStamp(leaf)
 	if t.elim {
-		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recDelete})
+		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: abalg.RecDelete})
 	}
 	keyOff := leaf + keysBase + uint64(idx)
 	t.arena.Store(keyOff, emptyKey)
@@ -219,12 +215,12 @@ func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool
 // flushed before the parent pointer is published (link-and-persist), so
 // the insert becomes durable exactly when the pointer line is flushed.
 func (t *Tree) splitInsert(th *Thread, leaf, parent uint64, nIdx int, key, val uint64) uint64 {
-	items := t.gatherLeaf(leaf)
-	items = append(items, kvPair{key, val})
-	sortKVs(items)
+	items := abalg.GatherLeaf(th.store(), leaf, make([]abalg.KV, 0, t.b+1))
+	items = append(items, abalg.KV{K: key, V: val})
+	abalg.SortKVs(items)
 
 	mid := len(items) / 2
-	sep := items[mid].k
+	sep := items[mid].K
 
 	// Open the leaf's version window around the replacement so snapshot
 	// scans can arbitrate against the stamp read inside it (rqsnap.go).
@@ -263,7 +259,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 	t := th.t
 	for {
 		path := t.search(key, 0)
-		leaf := path.n
+		leaf := path.Node
 		lv := t.vn(leaf)
 
 		if t.elim {
@@ -271,7 +267,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			if consistent && !found {
 				return 0, false
 			}
-			acquired, _ := th.lockOrElimKind(leaf, key, pOpDelete)
+			acquired, _ := th.lockOrElimKind(leaf, key, abalg.ElimDelete)
 			if !acquired {
 				t.elimDeletes.Add(1)
 				return 0, false // eliminated deletes return ⊥
@@ -294,7 +290,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			return 0, false
 		}
 		if int(newSize) < t.a {
-			th.fixUnderfull(leaf)
+			abalg.FixUnderfull(th.store(), leaf)
 		}
 		return val, true
 	}
@@ -306,28 +302,5 @@ func checkKey(key uint64) {
 	}
 	if key == ^uint64(0) {
 		panic("pabtree: key 2^64-1 is reserved as the key-range upper bound")
-	}
-}
-
-// gatherLeaf collects a locked leaf's pairs from the arena.
-func (t *Tree) gatherLeaf(off uint64) []kvPair {
-	items := make([]kvPair, 0, t.b+1)
-	for i := 0; i < t.b; i++ {
-		if k := t.loadKeyWord(off, i); k != emptyKey {
-			items = append(items, kvPair{k, t.loadVal(off, i)})
-		}
-	}
-	return items
-}
-
-func sortKVs(items []kvPair) {
-	for i := 1; i < len(items); i++ {
-		it := items[i]
-		j := i - 1
-		for j >= 0 && items[j].k > it.k {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = it
 	}
 }

@@ -1,6 +1,11 @@
 // Package pabtree implements the paper's durably linearizable trees: the
 // p-OCC-ABtree and p-Elim-ABtree (§5). The algorithms are those of
-// internal/core with the paper's persistence additions:
+// internal/core with the paper's persistence additions. The two
+// packages share one copy of the rebalancing (fixTagged, fixUnderfull),
+// validation, batch driver and elimination matrix: internal/abalg holds
+// it, generic over a node store, and store.go supplies this package's
+// persistent store. The per-key hot paths, range scans and recovery
+// stay in this package. The persistence additions:
 //
 //   - node keys, values and child pointers live in a simulated persistent
 //     memory arena (internal/pmem); locks, versions, sizes, marks and
@@ -30,6 +35,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"repro/internal/abalg"
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
 	"repro/internal/pmem"
@@ -55,17 +61,16 @@ const (
 	emptyKey = 0
 )
 
-type kind uint64
-
+// Node kinds, shared with the algorithm package.
 const (
-	leafKind kind = iota
-	internalKind
-	taggedKind
+	leafKind     = abalg.Leaf
+	internalKind = abalg.Internal
+	taggedKind   = abalg.Tagged
 )
 
-func packMeta(k kind, nchildren int) uint64 { return uint64(k) | uint64(nchildren)<<8 }
-func kindOf(meta uint64) kind               { return kind(meta & 0xff) }
-func nchildrenOf(meta uint64) int           { return int(meta >> 8 & 0xff) }
+func packMeta(k abalg.Kind, nchildren int) uint64 { return uint64(k) | uint64(nchildren)<<8 }
+func kindOf(meta uint64) abalg.Kind               { return abalg.Kind(meta & 0xff) }
+func nchildrenOf(meta uint64) int                 { return int(meta >> 8 & 0xff) }
 
 // elimRecord mirrors core.ElimRecord for the p-Elim-ABtree. Records are
 // volatile: elimination never crosses a crash (an operation is only
@@ -73,7 +78,7 @@ func nchildrenOf(meta uint64) int           { return int(meta >> 8 & 0xff) }
 // by which point the publisher is durably linearized, §5).
 type elimRecord struct {
 	key, val, ver uint64
-	kind          uint8 // recInsert / recDelete / recReplace
+	kind          abalg.RecKind
 }
 
 // vnode holds a node's volatile fields, indexed by arena slot. Everything
@@ -278,18 +283,15 @@ func (th *Thread) retire(off uint64) {
 
 // ---- node construction (all words flushed before the caller links) ----
 
-// kvPair is a staging key-value pair.
-type kvPair struct{ k, v uint64 }
-
 // initLeaf writes and flushes a leaf node's persistent words and resets
 // its volatile header. searchKey is the node's key-range lower bound.
-func (t *Tree) initLeaf(off uint64, items []kvPair, searchKey uint64) {
+func (t *Tree) initLeaf(off uint64, items []abalg.KV, searchKey uint64) {
 	a := t.arena
 	a.Store(off+metaWord, packMeta(leafKind, 0))
 	for i := 0; i < t.b; i++ {
 		var k, v uint64
 		if i < len(items) {
-			k, v = items[i].k, items[i].v
+			k, v = items[i].K, items[i].V
 		}
 		a.Store(off+keysBase+uint64(i), k)
 		a.Store(off+valsBase+uint64(i), v)
@@ -301,7 +303,7 @@ func (t *Tree) initLeaf(off uint64, items []kvPair, searchKey uint64) {
 }
 
 // initInternalNode writes and flushes an internal (or tagged) node.
-func (t *Tree) initInternalNode(off uint64, k kind, keys []uint64, children []uint64, searchKey uint64) {
+func (t *Tree) initInternalNode(off uint64, k abalg.Kind, keys []uint64, children []uint64, searchKey uint64) {
 	if len(children) != len(keys)+1 {
 		panic("pabtree: internal node arity mismatch")
 	}
@@ -328,8 +330,6 @@ func (t *Tree) initInternalNode(off uint64, k kind, keys []uint64, children []ui
 // ---- persistent field access ----
 
 func (t *Tree) meta(off uint64) uint64 { return t.arena.Load(off + metaWord) }
-
-func (t *Tree) isLeaf(off uint64) bool { return kindOf(t.meta(off)) == leafKind }
 
 func (t *Tree) loadKeyWord(off uint64, i int) uint64 {
 	return t.arena.Load(off + keysBase + uint64(i))

@@ -1,5 +1,7 @@
 package pabtree
 
+import "repro/internal/abalg"
+
 // Range scanning for the persistent trees — same per-leaf-consistent
 // semantics as internal/core/range.go: each leaf contributes an atomic
 // snapshot; the scan hops leaves using the key-range upper bounds found
@@ -121,7 +123,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf uint64, bound
 // [lo, hi] to buf. ok is false if the leaf has been unlinked (a cached
 // path may have led here after the unlink; the frozen contents cannot
 // be served).
-func (t *Tree) snapshotLeaf(buf []kvPair, off uint64, lo, hi uint64) (items []kvPair, ok bool) {
+func (t *Tree) snapshotLeaf(buf []abalg.KV, off uint64, lo, hi uint64) (items []abalg.KV, ok bool) {
 	v := t.vn(off)
 	spins := 0
 	for {
@@ -138,11 +140,11 @@ func (t *Tree) snapshotLeaf(buf []kvPair, off uint64, lo, hi uint64) (items []kv
 		for i := 0; i < t.b; i++ {
 			k := t.loadKeyWord(off, i)
 			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, kvPair{k, t.loadVal(off, i)})
+				items = append(items, abalg.KV{K: k, V: t.loadVal(off, i)})
 			}
 		}
 		if v.ver.Load() == v1 {
-			sortKVs(items)
+			abalg.SortKVs(items)
 			return items, true
 		}
 		buf = items[:0]
@@ -184,7 +186,7 @@ func (th *Thread) Range(lo, hi uint64, fn func(k, v uint64) bool) {
 			continue // leaf was unlinked: re-descend to its replacement
 		}
 		for _, it := range items {
-			if !fn(it.k, it.v) {
+			if !fn(it.K, it.V) {
 				return
 			}
 		}

@@ -1,6 +1,9 @@
 package pabtree
 
-import "repro/internal/pmem"
+import (
+	"repro/internal/abalg"
+	"repro/internal/pmem"
+)
 
 // Recover rebuilds a Tree from the persisted image in arena after a crash
 // (paper §5): it walks the tree from the entry node's fixed offset and
@@ -101,12 +104,10 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 	// to operate near tagged nodes.
 	th := t.NewThread()
 	for _, off := range tagged {
-		th.fixTagged(off)
+		abalg.FixTagged(th.store(), off)
 	}
 	for _, off := range underfull {
-		if t.sizeOf(off) < t.a {
-			th.fixUnderfull(off)
-		}
+		abalg.FixUnderfull(th.store(), off) // returns at once if already refilled
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package pabtree
 
 import (
+	"repro/internal/abalg"
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
 	"repro/internal/pmem"
@@ -27,7 +28,7 @@ type Thread struct {
 	// per-leaf collects append into. noScanCache forces full re-descents
 	// (differential tests only).
 	path        scanPath
-	kvBuf       []kvPair
+	kvBuf       []abalg.KV
 	pairBuf     []rq.Pair
 	noScanCache bool
 

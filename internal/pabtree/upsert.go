@@ -1,36 +1,12 @@
 package pabtree
 
 // Upsert for the persistent trees — the §7 replace-style insert. The
-// elimination compatibility matrix is the same as the volatile tree's
-// (see internal/core/upsert.go); persistence adds that a value replace
-// commits with a single flush of the value word, which is atomic against
-// any crash (one word, one line).
-//
-// recKind mirrors core.RecKind for the persistent elimination records.
-const (
-	recInsert uint8 = iota
-	recDelete
-	recReplace
-)
+// elimination compatibility matrix is the volatile tree's
+// (abalg.CanEliminate); persistence adds that a value replace commits
+// with a single flush of the value word, which is atomic against any
+// crash (one word, one line).
 
-type pOpKind uint8
-
-const (
-	pOpInsert pOpKind = iota
-	pOpDelete
-	pOpUpsert
-)
-
-func pCanEliminate(op pOpKind, rec uint8) bool {
-	switch op {
-	case pOpInsert:
-		return true
-	case pOpDelete:
-		return rec == recInsert || rec == recDelete
-	default:
-		return rec == recDelete || rec == recReplace
-	}
-}
+import "repro/internal/abalg"
 
 // Upsert sets key's value to val, inserting if absent. Durable on return
 // (replace: one value flush; insert: value + key flushes; split:
@@ -42,11 +18,11 @@ func (th *Thread) Upsert(key, val uint64) {
 	t := th.t
 	for {
 		path := t.search(key, 0)
-		leaf := path.n
+		leaf := path.Node
 		lv := t.vn(leaf)
 
 		if t.elim {
-			acquired, _ := th.lockOrElimKind(leaf, key, pOpUpsert)
+			acquired, _ := th.lockOrElimKind(leaf, key, abalg.ElimUpsert)
 			if !acquired {
 				t.elimUpserts.Add(1)
 				return
@@ -82,7 +58,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			ver := lv.ver.Add(1)
 			t.rqStamp(leaf)
 			if t.elim {
-				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recReplace})
+				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: abalg.RecReplace})
 			}
 			valOff := leaf + valsBase + uint64(dup)
 			t.arena.Store(valOff, val)
@@ -94,7 +70,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			ver := lv.ver.Add(1)
 			t.rqStamp(leaf)
 			if t.elim {
-				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recInsert})
+				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: abalg.RecInsert})
 			}
 			valOff := leaf + valsBase + uint64(emptyIdx)
 			keyOff := leaf + keysBase + uint64(emptyIdx)
@@ -107,16 +83,16 @@ func (th *Thread) Upsert(key, val uint64) {
 			th.unlockAll()
 			return
 		default:
-			parent := path.p
+			parent := path.Parent
 			th.lockNode(parent)
 			if t.vn(parent).marked.Load() {
 				th.unlockAll()
 				continue
 			}
-			taggedOff := t.splitInsert(th, leaf, parent, path.nIdx, key, val)
+			taggedOff := t.splitInsert(th, leaf, parent, path.NodeIdx, key, val)
 			th.unlockAll()
 			if taggedOff != 0 {
-				th.fixTagged(taggedOff)
+				abalg.FixTagged(th.store(), taggedOff)
 			}
 			return
 		}
@@ -124,7 +100,7 @@ func (th *Thread) Upsert(key, val uint64) {
 }
 
 // lockOrElimKind is lockOrElim with the op/record compatibility matrix.
-func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op pOpKind) (acquired bool, val uint64) {
+func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op abalg.ElimOp) (acquired bool, val uint64) {
 	t := th.t
 	lv := t.vn(leaf)
 	startVer := lv.ver.Load()
@@ -141,7 +117,7 @@ func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op pOpKind) (acquired 
 			t.crashCheck()
 			spinPause(&spins)
 		}
-		if rec != nil && startVer <= rec.ver && rec.key == key && pCanEliminate(op, rec.kind) {
+		if rec != nil && startVer <= rec.ver && rec.key == key && abalg.CanEliminate(op, rec.kind) {
 			return false, rec.val
 		}
 		if th.tryLockNode(leaf) {

@@ -20,6 +20,7 @@ package pmem
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -41,7 +42,11 @@ var ErrCrash = fmt.Errorf("pmem: simulated crash (failpoint)")
 type Arena struct {
 	words     []atomic.Uint64 // volatile view (cache + memory)
 	persisted []atomic.Uint64 // what survives a crash
-	dirty     []atomic.Bool   // per-line modified-since-flush
+	// Per line: dirty is set by every Store after the word write (so a
+	// clean line equals its persisted image), flushing serialises
+	// flushes of the line.
+	dirty    []atomic.Bool
+	flushing []atomic.Bool
 
 	next atomic.Uint64 // bump allocation cursor (in words)
 
@@ -62,6 +67,7 @@ func New(capWords int) *Arena {
 		words:     make([]atomic.Uint64, capWords),
 		persisted: make([]atomic.Uint64, capWords),
 		dirty:     make([]atomic.Bool, capWords/LineWords),
+		flushing:  make([]atomic.Bool, capWords/LineWords),
 	}
 	a.failpoint.Store(disarmed)
 	return a
@@ -119,12 +125,24 @@ func (a *Arena) FlushRange(off, n uint64) {
 	a.fences.Add(1)
 }
 
+// flushLine copies a line's volatile words to its persisted image. The
+// dirty bit is cleared before the copy, so a Store landing during the
+// copy leaves the line dirty; and flushes of one line are serialised, so
+// a flush that read a word before a Store cannot overwrite a later
+// flush that persisted it. Together these keep the invariant Crash
+// relies on: a clean line equals its persisted image.
 func (a *Arena) flushLine(line uint64) {
-	base := line * LineWords
-	for i := uint64(0); i < LineWords; i++ {
-		a.persisted[base+i].Store(a.words[base+i].Load())
+	for spins := 0; !a.flushing[line].CompareAndSwap(false, true); spins++ {
+		if spins%32 == 31 {
+			runtime.Gosched()
+		}
 	}
 	a.dirty[line].Store(false)
+	base := line * LineWords
+	for i := base; i < base+LineWords; i++ {
+		a.persisted[i].Store(a.words[i].Load())
+	}
+	a.flushing[line].Store(false)
 }
 
 // Fence records an sfence with no preceding clwb (ordering only; in this
@@ -152,20 +170,27 @@ func (a *Arena) ResetStats() {
 // failed), the volatile view is replaced with the persistent image, and
 // any armed failpoint is disarmed. No other Arena method may run
 // concurrently with Crash.
+//
+// Only dirty lines are touched: a clean line already equals its
+// persisted image (see flushLine). The eviction draws are taken for the
+// dirty lines in line order, so a seed picks the same outcome for the
+// same dirty set.
 func (a *Arena) Crash(evictProb float64, seed uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.failpoint.Store(disarmed)
 	rng := xrand.New(seed)
 	for l := range a.dirty {
-		if a.dirty[l].Load() && rng.Float64() < evictProb {
+		if !a.dirty[l].Load() {
+			continue
+		}
+		if rng.Float64() < evictProb {
 			a.flushLine(uint64(l))
 		}
-	}
-	for i := range a.words {
-		a.words[i].Store(a.persisted[i].Load())
-	}
-	for l := range a.dirty {
+		base := uint64(l) * LineWords
+		for i := base; i < base+LineWords; i++ {
+			a.words[i].Store(a.persisted[i].Load())
+		}
 		a.dirty[l].Store(false)
 	}
 	a.crashes.Add(1)

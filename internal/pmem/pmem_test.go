@@ -1,9 +1,12 @@
 package pmem
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func TestStoreLoadRoundTrip(t *testing.T) {
@@ -200,5 +203,68 @@ func TestInvalidCapacityPanics(t *testing.T) {
 			}()
 			New(c)
 		}()
+	}
+}
+
+// TestConcurrentStoreFlushSharedLines has workers store to and flush
+// interleaved words of the same few lines. Each worker owns its words,
+// so once its Flush returns, the value it stored must stay persisted
+// whatever flushes of the line other workers run. Afterwards every
+// clean line must equal its persisted image: Crash restores only dirty
+// lines, so a clean line that differs would survive a crash with
+// contents that were never persisted.
+func TestConcurrentStoreFlushSharedLines(t *testing.T) {
+	const workers, lines = 4, 4
+	rounds := 20000
+	if testing.Short() {
+		rounds = 5000
+	}
+	a := New(lines * LineWords)
+	last := make([]uint64, lines*LineWords)      // each word's last stored value
+	lastFlushed := make([]bool, lines*LineWords) // whether that store was flushed
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := xrand.New(uint64(w) + 1)
+			for r := 1; r <= rounds; r++ {
+				// Worker w owns words w and w+workers of every line.
+				off := rng.Uint64n(lines)*LineWords + uint64(w) + rng.Uint64n(2)*workers
+				val := uint64(r)<<8 | uint64(w)
+				a.Store(off, val)
+				last[off], lastFlushed[off] = val, false
+				if rng.Uint64n(4) == 0 {
+					continue // leave the line dirty
+				}
+				a.Flush(off)
+				lastFlushed[off] = true
+				if got := a.PersistedLoad(off); got != val {
+					errs <- fmt.Errorf("word %d persisted %#x right after flushing %#x", off, got, val)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for off, val := range last {
+		if lastFlushed[off] && a.PersistedLoad(uint64(off)) != val {
+			t.Errorf("word %d: flushed %#x, persisted %#x", off, val, a.PersistedLoad(uint64(off)))
+		}
+	}
+	for l := 0; l < lines; l++ {
+		if a.dirty[l].Load() {
+			continue
+		}
+		for i := uint64(l) * LineWords; i < uint64(l+1)*LineWords; i++ {
+			if a.Load(i) != a.PersistedLoad(i) {
+				t.Errorf("clean line %d: word %d volatile %#x, persisted %#x", l, i, a.Load(i), a.PersistedLoad(i))
+			}
+		}
 	}
 }
