@@ -95,10 +95,10 @@ type Store[N comparable] interface {
 	// Search descends toward key without locks, stopping at a leaf or at
 	// target, whichever comes first.
 	Search(key uint64, target N) Path[N]
-	// Route returns the index of the child of internal node n whose key
-	// range holds key, and that child's upper bound (hasHi false for the
-	// last child).
-	Route(n N, key uint64) (c int, hi uint64, hasHi bool)
+	// Route returns the index c >= from of the child of internal node n
+	// whose key range holds key (which must not lie left of child from),
+	// and that child's upper bound (hasHi false for the last child).
+	Route(n N, key uint64, from int) (c int, hi uint64, hasHi bool)
 
 	// NewLeaf and NewInternal return a complete new node, not yet
 	// reachable (a durable store has flushed it). searchKey is the

@@ -72,10 +72,12 @@ func RunBatch[N comparable, S Store[N]](s S, op BatchOp, run []batchkit.Ent, val
 // multi-child partitions recurse, bounded by the tree height.
 func runSubtree[N comparable, S Store[N]](s S, op BatchOp, n N, run []batchkit.Ent, vals, res []uint64, ok []bool) {
 	for s.Kind(n) != Leaf {
-		for i := 0; i < len(run); {
-			// run[i] goes to child c; so does every later key below c's
-			// upper bound.
-			c, hi, hasHi := s.Route(n, run[i].K)
+		for i, c := 0, 0; i < len(run); c++ {
+			// run[i] goes to child c (at or right of the previous one);
+			// so does every later key below c's upper bound.
+			var hi uint64
+			var hasHi bool
+			c, hi, hasHi = s.Route(n, run[i].K, c)
 			end := i + 1
 			for end < len(run) && (!hasHi || run[end].K < hi) {
 				end++

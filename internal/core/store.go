@@ -43,13 +43,14 @@ func (s store) Search(key uint64, target *node) abalg.Path[*node] {
 	return s.t.search(key, target)
 }
 
-func (store) Route(n *node, key uint64) (c int, hi uint64, hasHi bool) {
-	for rk := n.routingKeys(); c < rk; c++ {
+func (store) Route(n *node, key uint64, from int) (int, uint64, bool) {
+	rk := n.routingKeys()
+	for c := from; c < rk; c++ {
 		if k := n.keys[c].Load(); key < k {
 			return c, k, true
 		}
 	}
-	return c, 0, false
+	return rk, 0, false
 }
 
 func (store) NewLeaf(items []abalg.KV, searchKey uint64) *node {

@@ -46,13 +46,14 @@ func (s store) Search(key uint64, target uint64) abalg.Path[uint64] {
 	return s.t.search(key, target)
 }
 
-func (s store) Route(n uint64, key uint64) (c int, hi uint64, hasHi bool) {
-	for rk := nchildrenOf(s.t.meta(n)) - 1; c < rk; c++ {
+func (s store) Route(n uint64, key uint64, from int) (int, uint64, bool) {
+	rk := nchildrenOf(s.t.meta(n)) - 1
+	for c := from; c < rk; c++ {
 		if k := s.t.loadKeyWord(n, c); key < k {
 			return c, k, true
 		}
 	}
-	return c, 0, false
+	return rk, 0, false
 }
 
 func (s store) NewLeaf(items []abalg.KV, searchKey uint64) uint64 {

@@ -42,11 +42,7 @@ var ErrCrash = fmt.Errorf("pmem: simulated crash (failpoint)")
 type Arena struct {
 	words     []atomic.Uint64 // volatile view (cache + memory)
 	persisted []atomic.Uint64 // what survives a crash
-	// Per line: dirty is set by every Store after the word write (so a
-	// clean line equals its persisted image), flushing serialises
-	// flushes of the line.
-	dirty    []atomic.Bool
-	flushing []atomic.Bool
+	lines     []atomic.Uint32 // per-line lineDirty | lineFlushing
 
 	next atomic.Uint64 // bump allocation cursor (in words)
 
@@ -66,8 +62,7 @@ func New(capWords int) *Arena {
 	a := &Arena{
 		words:     make([]atomic.Uint64, capWords),
 		persisted: make([]atomic.Uint64, capWords),
-		dirty:     make([]atomic.Bool, capWords/LineWords),
-		flushing:  make([]atomic.Bool, capWords/LineWords),
+		lines:     make([]atomic.Uint32, capWords/LineWords),
 	}
 	a.failpoint.Store(disarmed)
 	return a
@@ -95,12 +90,17 @@ func (a *Arena) Allocated() uint64 { return a.next.Load() }
 // Load returns the volatile (cache-visible) value of the word at off.
 func (a *Arena) Load(off uint64) uint64 { return a.words[off].Load() }
 
-// Store writes the word at off in the volatile view and marks its line
-// dirty. The value is not durable until the line is flushed or evicted.
+// Store writes the word at off in the volatile view, then marks its
+// line dirty (in that order; see flushLine). The value is not durable
+// until the line is flushed or evicted.
 func (a *Arena) Store(off, val uint64) {
 	a.maybeFail()
 	a.words[off].Store(val)
-	a.dirty[off/LineWords].Store(true)
+	for st := &a.lines[off/LineWords]; ; {
+		if s := st.Load(); s&lineDirty != 0 || st.CompareAndSwap(s, s|lineDirty) {
+			return
+		}
+	}
 }
 
 // Flush makes the line containing off durable, modelling clwb + sfence:
@@ -125,24 +125,39 @@ func (a *Arena) FlushRange(off, n uint64) {
 	a.fences.Add(1)
 }
 
-// flushLine copies a line's volatile words to its persisted image. The
-// dirty bit is cleared before the copy, so a Store landing during the
-// copy leaves the line dirty; and flushes of one line are serialised, so
-// a flush that read a word before a Store cannot overwrite a later
-// flush that persisted it. Together these keep the invariant Crash
-// relies on: a clean line equals its persisted image.
+// Line state bits. A Store sets lineDirty after writing its word;
+// lineFlushing is held by the one flush of the line in progress.
+const (
+	lineDirty    = 1
+	lineFlushing = 2
+)
+
+// flushLine copies a line's volatile words to its persisted image. It
+// clears the dirty bit as it takes the line, before the copy, so a
+// Store landing during the copy leaves the line dirty; and flushes of
+// one line are serialised, so a flush that read a word before a Store
+// cannot overwrite a later flush that persisted it. Together these keep
+// the invariant Crash relies on: a clean line equals its persisted
+// image.
 func (a *Arena) flushLine(line uint64) {
-	for spins := 0; !a.flushing[line].CompareAndSwap(false, true); spins++ {
+	st := &a.lines[line]
+	for spins := 0; ; spins++ {
+		if s := st.Load(); s&lineFlushing == 0 && st.CompareAndSwap(s, lineFlushing) {
+			break
+		}
 		if spins%32 == 31 {
 			runtime.Gosched()
 		}
 	}
-	a.dirty[line].Store(false)
 	base := line * LineWords
 	for i := base; i < base+LineWords; i++ {
 		a.persisted[i].Store(a.words[i].Load())
 	}
-	a.flushing[line].Store(false)
+	for {
+		if s := st.Load(); st.CompareAndSwap(s, s&^lineFlushing) {
+			return
+		}
+	}
 }
 
 // Fence records an sfence with no preceding clwb (ordering only; in this
@@ -180,8 +195,8 @@ func (a *Arena) Crash(evictProb float64, seed uint64) {
 	defer a.mu.Unlock()
 	a.failpoint.Store(disarmed)
 	rng := xrand.New(seed)
-	for l := range a.dirty {
-		if !a.dirty[l].Load() {
+	for l := range a.lines {
+		if a.lines[l].Load()&lineDirty == 0 {
 			continue
 		}
 		if rng.Float64() < evictProb {
@@ -191,7 +206,7 @@ func (a *Arena) Crash(evictProb float64, seed uint64) {
 		for i := base; i < base+LineWords; i++ {
 			a.words[i].Store(a.persisted[i].Load())
 		}
-		a.dirty[l].Store(false)
+		a.lines[l].Store(0)
 	}
 	a.crashes.Add(1)
 }

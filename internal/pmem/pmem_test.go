@@ -258,7 +258,7 @@ func TestConcurrentStoreFlushSharedLines(t *testing.T) {
 		}
 	}
 	for l := 0; l < lines; l++ {
-		if a.dirty[l].Load() {
+		if a.lines[l].Load()&lineDirty != 0 {
 			continue
 		}
 		for i := uint64(l) * LineWords; i < uint64(l+1)*LineWords; i++ {
