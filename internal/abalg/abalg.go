@@ -97,8 +97,8 @@ type Store[N comparable] interface {
 	Search(key uint64, target N) Path[N]
 	// Route returns the index c >= from of the child of internal node n
 	// whose key range holds key (which must not lie left of child from),
-	// and that child's upper bound (hasHi false for the last child).
-	Route(n N, key uint64, from int) (c int, hi uint64, hasHi bool)
+	// the child, and its upper bound (hasHi false for the last child).
+	Route(n N, key uint64, from int) (c int, child N, hi uint64, hasHi bool)
 
 	// NewLeaf and NewInternal return a complete new node, not yet
 	// reachable (a durable store has flushed it). searchKey is the

@@ -75,14 +75,14 @@ func runSubtree[N comparable, S Store[N]](s S, op BatchOp, n N, run []batchkit.E
 		for i, c := 0, 0; i < len(run); c++ {
 			// run[i] goes to child c (at or right of the previous one);
 			// so does every later key below c's upper bound.
+			var child N
 			var hi uint64
 			var hasHi bool
-			c, hi, hasHi = s.Route(n, run[i].K, c)
+			c, child, hi, hasHi = s.Route(n, run[i].K, c)
 			end := i + 1
 			for end < len(run) && (!hasHi || run[end].K < hi) {
 				end++
 			}
-			child := s.Child(n, c)
 			if i == 0 && end == len(run) {
 				n = child // whole run funnels into one child
 				break

@@ -43,14 +43,14 @@ func (s store) Search(key uint64, target *node) abalg.Path[*node] {
 	return s.t.search(key, target)
 }
 
-func (store) Route(n *node, key uint64, from int) (int, uint64, bool) {
+func (store) Route(n *node, key uint64, from int) (int, *node, uint64, bool) {
 	rk := n.routingKeys()
 	for c := from; c < rk; c++ {
 		if k := n.keys[c].Load(); key < k {
-			return c, k, true
+			return c, n.inner().ptrs[c].Load(), k, true
 		}
 	}
-	return rk, 0, false
+	return rk, n.inner().ptrs[rk].Load(), 0, false
 }
 
 func (store) NewLeaf(items []abalg.KV, searchKey uint64) *node {

@@ -46,14 +46,14 @@ func (s store) Search(key uint64, target uint64) abalg.Path[uint64] {
 	return s.t.search(key, target)
 }
 
-func (s store) Route(n uint64, key uint64, from int) (int, uint64, bool) {
+func (s store) Route(n uint64, key uint64, from int) (int, uint64, uint64, bool) {
 	rk := nchildrenOf(s.t.meta(n)) - 1
 	for c := from; c < rk; c++ {
 		if k := s.t.loadKeyWord(n, c); key < k {
-			return c, k, true
+			return c, s.t.loadChild(n, c), k, true
 		}
 	}
-	return rk, 0, false
+	return rk, s.t.loadChild(n, rk), 0, false
 }
 
 func (s store) NewLeaf(items []abalg.KV, searchKey uint64) uint64 {
