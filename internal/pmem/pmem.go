@@ -153,11 +153,7 @@ func (a *Arena) flushLine(line uint64) {
 	for i := base; i < base+LineWords; i++ {
 		a.persisted[i].Store(a.words[i].Load())
 	}
-	for {
-		if s := st.Load(); st.CompareAndSwap(s, s&^lineFlushing) {
-			return
-		}
-	}
+	st.Add(^uint32(lineFlushing - 1)) // clears lineFlushing, which this flush holds
 }
 
 // Fence records an sfence with no preceding clwb (ordering only; in this
